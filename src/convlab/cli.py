@@ -28,8 +28,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .calibrate import (
     TRACE_CSV_HEADER,
     MonitorConfig,
@@ -47,8 +45,20 @@ from .markov import (
     failure_counting_expected_steps,
 )
 from .regions import classify
-from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, run_batch, run_sweep
-from .stats import ccdf, nearest_rank_percentile, summarize, tail_decay_fit
+from .rng import validate_seed
+from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, run_histogram, sweep_configs
+from .stats import (
+    histogram_ccdf,
+    histogram_mean,
+    histogram_percentiles,
+    summarize_histogram,
+    tail_decay_fit,
+)
+
+# The CLI no longer calls these; they stay importable here because the
+# benchmark's tracer wraps them at this import site (perfbench/layers.py).
+from .simulate import run_batch, run_sweep  # noqa: F401
+from .stats import ccdf, nearest_rank_percentile, summarize  # noqa: F401
 
 __all__ = ["ReportRow", "main", "parse_deltas"]
 
@@ -146,9 +156,10 @@ def _resolve_seed(flag_value: int | None) -> int:
             raise UsageError(f"CONVLAB_SEED must be an integer, got {raw!r}") from None
     else:
         seed = DEFAULT_SEED
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    try:
+        return validate_seed(seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -221,11 +232,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_report_rows(batches) -> list[ReportRow]:
+def _build_report_rows(histograms) -> list[ReportRow]:
     rows = []
-    for batch in batches:
-        summary = summarize(batch)
-        config = batch.config
+    for histogram in histograms:
+        summary = summarize_histogram(histogram)
+        config = histogram.config
         rows.append(
             ReportRow(
                 delta=config.delta,
@@ -237,8 +248,8 @@ def _build_report_rows(batches) -> list[ReportRow]:
                 success_rate_percent=summary.success_rate * 100.0,
                 efficiency=summary.efficiency,
                 ci_width_99=summary.ci_width_99,
-                runtime_seconds=batch.runtime_seconds,
-                throughput=batch.throughput_trials_per_second,
+                runtime_seconds=histogram.runtime_seconds,
+                throughput=histogram.throughput_trials_per_second,
                 region=classify(config.delta).value,
             )
         )
@@ -280,15 +291,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.cutoff < 4:
         raise UsageError(f"cutoff must be >= stages (4), got {args.cutoff}")
 
-    batches = run_sweep(deltas, args.trials, seed, success_cutoff=args.cutoff)
-    rows = _build_report_rows(batches)
+    configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
+    histograms = [run_histogram(config) for config in configs]
+    rows = _build_report_rows(histograms)
     _emit(_report_text(rows, args.format, args.resource_metrics), args.out)
 
-    total_trials = sum(batch.config.trials for batch in batches)
-    total_runtime = sum(batch.runtime_seconds for batch in batches)
-    peak = max(batch.peak_memory_bytes for batch in batches)
+    total_trials = sum(h.config.trials for h in histograms)
+    total_runtime = sum(h.runtime_seconds for h in histograms)
+    peak = max(h.peak_memory_bytes for h in histograms)
     _info(
-        f"sweep: {total_trials} trials over {len(batches)} deltas in "
+        f"sweep: {total_trials} trials over {len(histograms)} deltas in "
         f"{total_runtime:.4f}s ({total_trials / total_runtime:.0f} trials/s), "
         f"peak memory {peak} bytes"
     )
@@ -306,8 +318,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
         config = SimConfig(delta=args.delta, trials=args.trials, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    batch = run_batch(config)
-    series = ccdf(batch.totals)
+    histogram = run_histogram(config)
+    series = histogram_ccdf(histogram.values, histogram.counts)
     floor_prob = 10.0 / config.trials
     theoretical = math.log1p(-config.delta) if config.delta < 1.0 else None
     try:
@@ -388,26 +400,26 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         config = SimConfig(delta=args.delta, trials=args.trials, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    batch = run_batch(config)
+    histogram = run_histogram(config)
+    values, counts = histogram.values, histogram.counts
 
-    values, counts = np.unique(batch.totals, return_counts=True)
     lines = ["k,count"]
-    lines.extend(f"{int(k)},{int(c)}" for k, c in zip(values, counts))
+    lines.extend(f"{k},{c}" for k, c in zip(values.tolist(), counts.tolist()))
     _emit("\n".join(lines) + "\n", args.out)
     if args.out != "-":
-        totals = batch.totals
+        p25, p50, p75, p99 = histogram_percentiles(values, counts, (25, 50, 75, 99))
         sidecar = {
             "delta": config.delta,
             "stages": config.stages,
             "trials": config.trials,
             "seed": seed,
-            "min": int(totals.min()),
-            "max": int(totals.max()),
-            "mean": float(totals.mean()),
-            "p25": nearest_rank_percentile(totals, 25),
-            "p50": nearest_rank_percentile(totals, 50),
-            "p75": nearest_rank_percentile(totals, 75),
-            "p99": nearest_rank_percentile(totals, 99),
+            "min": int(values[0]),
+            "max": int(values[-1]),
+            "mean": histogram_mean(values, counts),
+            "p25": p25,
+            "p50": p50,
+            "p75": p75,
+            "p99": p99,
         }
         _write_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK

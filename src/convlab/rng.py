@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SEED_MODULUS", "child_seed", "generator"]
+__all__ = ["SEED_MODULUS", "child_seed", "generator", "validate_seed"]
 
 SEED_MODULUS = 2**64
 
 
 def validate_seed(seed: int) -> int:
+    """Return ``seed`` as an int; ValueError unless it is an unsigned 64-bit integer."""
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < SEED_MODULUS:

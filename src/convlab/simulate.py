@@ -2,8 +2,15 @@
 
 A trial is one pipeline run: each stage retries until it succeeds, so the
 per-stage iteration count is geometric on {1, 2, ...} and the trial total is
-their sum. A whole batch is generated in a handful of array operations:
-draw a (trials x stages) uniform block, invert the geometric CDF, row-sum.
+their sum. A batch is generated in a handful of array operations: draw a
+(trials x stages) uniform block, invert the geometric CDF, row-sum.
+
+Two paths share that recipe. `run_batch` is the per-trial reference: it keeps
+every sojourn in one block. `run_histogram` is the fast path behind the CLI:
+it draws CHUNK_ROWS rows at a time into one reused buffer and keeps only the
+histogram of totals, so its memory does not grow with the trial count.
+Consecutive Philox draws equal one big draw, so both paths see the same
+totals bit for bit.
 
 Sampling uses inversion, k = ceil(ln(u) / ln(1 - delta)) with u in (0, 1),
 which reproduces the geometric law exactly rather than simulating repeated
@@ -19,7 +26,7 @@ import time
 import tracemalloc
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,16 +36,26 @@ from .rng import child_seed, generator, validate_seed
 __all__ = [
     "DEFAULT_SUCCESS_CUTOFF",
     "DEFAULT_CELL_BUDGET",
+    "CHUNK_ROWS",
+    "DENSE_LIMIT",
     "SimConfig",
     "TrialBatch",
+    "TotalsHistogram",
     "sample_geometric",
+    "count_totals",
     "run_batch",
+    "run_histogram",
+    "sweep_configs",
     "run_sweep",
     "export_batch_csv",
 ]
 
 DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
+CHUNK_ROWS = 2**16            # trials drawn per chunk by run_histogram
+DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,96 @@ class TrialBatch:
         return float(self.success_flags.mean())
 
 
+@dataclass(frozen=True)
+class TotalsHistogram:
+    """Distinct trial totals of one config and how often each occurred.
+
+    `values` and `counts` are exactly `np.unique(totals, return_counts=True)`
+    of the totals `run_batch` draws for the same config. The resource metrics
+    cover generation plus histogram accumulation.
+    """
+
+    config: SimConfig
+    values: np.ndarray              # (distinct,) int64, increasing
+    counts: np.ndarray              # (distinct,) int64, positive, sum = trials
+    runtime_seconds: float
+    throughput_trials_per_second: float
+    peak_memory_bytes: int
+
+    def __post_init__(self) -> None:
+        for arr in (self.values, self.counts):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_batch(cls, batch: TrialBatch) -> "TotalsHistogram":
+        """The histogram of a reference batch, carrying its resource metrics."""
+        values, counts = count_totals(batch.totals)
+        return cls(
+            config=batch.config,
+            values=values,
+            counts=counts,
+            runtime_seconds=batch.runtime_seconds,
+            throughput_trials_per_second=batch.throughput_trials_per_second,
+            peak_memory_bytes=batch.peak_memory_bytes,
+        )
+
+    @property
+    def success_rate(self) -> float:
+        successes = int(self.counts[self.values <= self.config.success_cutoff].sum())
+        return successes / int(self.counts.sum())
+
+
+class _TotalsCounter:
+    """Histogram of non-negative int64 totals, fed one array at a time.
+
+    Totals below DENSE_LIMIT go to a dense bincount. Larger ones are kept raw
+    and reduced once by np.unique: tiny deltas have unbounded support, and a
+    dense array over it would need gigabytes.
+    """
+
+    def __init__(self) -> None:
+        self._dense = np.zeros(0, dtype=np.int64)  # grows up to DENSE_LIMIT
+        self._overflow: list[np.ndarray] = []
+
+    def add(self, totals: np.ndarray) -> None:
+        if totals.size == 0:
+            return
+        if totals.max() >= DENSE_LIMIT:
+            large = totals >= DENSE_LIMIT
+            self._overflow.append(totals[large])
+            totals = totals[~large]
+        counts = np.bincount(totals)
+        if counts.size > self._dense.size:
+            counts[: self._dense.size] += self._dense
+            self._dense = counts
+        else:
+            self._dense[: counts.size] += counts
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        values = np.flatnonzero(self._dense).astype(np.int64, copy=False)
+        counts = self._dense[values]
+        if self._overflow:
+            large, large_counts = np.unique(
+                np.concatenate(self._overflow), return_counts=True
+            )
+            values = np.concatenate([values, large])
+            counts = np.concatenate([counts, large_counts.astype(np.int64, copy=False)])
+        return values, counts
+
+
+def count_totals(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and counts of non-negative integer totals, increasing."""
+    arr = np.asarray(totals)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"totals must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValueError("totals must be non-negative")
+    counter = _TotalsCounter()
+    counter.add(arr.ravel())
+    return counter.result()
+
+
 def sample_geometric(delta: float, uniform_draw: float) -> int:
     """Invert one uniform draw into a geometric iteration count on {1, 2, ...}."""
     if not 0.0 < delta <= 1.0:
@@ -127,30 +234,76 @@ def _generate_sojourns(config: SimConfig, rng: np.random.Generator) -> np.ndarra
     return sojourns
 
 
-def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialBatch:
-    """Generate one batch; raises ResourceLimitError before allocating past budget."""
+def _chunk_totals(config: SimConfig, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield the batch's totals CHUNK_ROWS trials at a time, in trial order.
+
+    Each chunk applies _generate_sojourns' operations to the next rows of the
+    same Philox stream. The yielded array is a buffer reused by the next chunk.
+    """
+    rows_max = min(CHUNK_ROWS, config.trials)
+    starts = range(0, config.trials, rows_max)
+    totals = np.empty(rows_max, dtype=np.int64)
+    if config.delta == 1.0:  # every sojourn is 1; nothing to draw
+        totals.fill(config.stages)
+        for start in starts:
+            yield totals[: min(rows_max, config.trials - start)]
+        return
+    draws = np.empty((rows_max, config.stages))
+    sojourns = np.empty((rows_max, config.stages), dtype=np.int64)
+    scale = np.log1p(-config.delta)
+    for start in starts:
+        rows = min(rows_max, config.trials - start)
+        block = draws[:rows]
+        rng.random(out=block)
+        np.subtract(1.0, block, out=block)
+        np.log(block, out=block)
+        block /= scale
+        np.ceil(block, out=block)
+        counts = sojourns[:rows]
+        np.copyto(counts, block, casting="unsafe")
+        np.maximum(counts, 1, out=counts)
+        chunk = totals[:rows]
+        np.copyto(chunk, counts[:, 0])
+        for stage in range(1, config.stages):  # column adds beat sum(axis=1)
+            chunk += counts[:, stage]
+        yield chunk
+
+
+def _check_budget(config: SimConfig, max_cells: int) -> None:
     cells = config.trials * config.stages
     if cells > max_cells:
         raise ResourceLimitError(
             f"batch needs {cells} cells, budget is {max_cells}"
         )
-    rng = generator(config.seed)
 
+
+def _measured(work: Callable[[], T]) -> tuple[T, float, int]:
+    """Run `work`; return its result, wall seconds and peak traced bytes."""
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
     else:
         tracemalloc.start()
     start = time.perf_counter()
-    sojourns = _generate_sojourns(config, rng)
-    totals = sojourns.sum(axis=1)
-    flags = totals <= config.success_cutoff
+    result = work()
     runtime = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     if not was_tracing:
         tracemalloc.stop()
+    return result, max(runtime, 1e-9), int(peak)
 
-    runtime = max(runtime, 1e-9)
+
+def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialBatch:
+    """Generate one batch; raises ResourceLimitError before allocating past budget."""
+    _check_budget(config, max_cells)
+    rng = generator(config.seed)
+
+    def generate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sojourns = _generate_sojourns(config, rng)
+        totals = sojourns.sum(axis=1)
+        return sojourns, totals, totals <= config.success_cutoff
+
+    (sojourns, totals, flags), runtime, peak = _measured(generate)
     return TrialBatch(
         sojourns=sojourns,
         totals=totals,
@@ -158,8 +311,59 @@ def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialB
         config=config,
         runtime_seconds=runtime,
         throughput_trials_per_second=config.trials / runtime,
-        peak_memory_bytes=int(peak),
+        peak_memory_bytes=peak,
     )
+
+
+def run_histogram(
+    config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET
+) -> TotalsHistogram:
+    """Histogram of one batch's totals, generated in chunks of CHUNK_ROWS trials.
+
+    Same totals as run_batch(config), same cell budget, but memory is bounded
+    by the chunk (plus 8 bytes per trial whose total reaches DENSE_LIMIT).
+    """
+    _check_budget(config, max_cells)
+    rng = generator(config.seed)
+
+    def accumulate() -> tuple[np.ndarray, np.ndarray]:
+        counter = _TotalsCounter()
+        for chunk in _chunk_totals(config, rng):
+            counter.add(chunk)
+        return counter.result()
+
+    (values, counts), runtime, peak = _measured(accumulate)
+    return TotalsHistogram(
+        config=config,
+        values=values,
+        counts=counts,
+        runtime_seconds=runtime,
+        throughput_trials_per_second=config.trials / runtime,
+        peak_memory_bytes=peak,
+    )
+
+
+def sweep_configs(
+    deltas: Sequence[float],
+    trials: int,
+    base_seed: int,
+    *,
+    stages: int = 4,
+    success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
+) -> list[SimConfig]:
+    """One config per delta; config i draws from child_seed(base_seed, i)."""
+    if not deltas:
+        raise ValueError("sweep needs at least one delta")
+    return [
+        SimConfig(
+            delta=delta,
+            stages=stages,
+            trials=trials,
+            seed=child_seed(base_seed, index),
+            success_cutoff=success_cutoff,
+        )
+        for index, delta in enumerate(deltas)
+    ]
 
 
 def run_sweep(
@@ -171,20 +375,11 @@ def run_sweep(
     success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
     max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> list[TrialBatch]:
-    """Run one batch per delta; batch i draws from child_seed(base_seed, i)."""
-    if not deltas:
-        raise ValueError("sweep needs at least one delta")
-    batches = []
-    for index, delta in enumerate(deltas):
-        config = SimConfig(
-            delta=delta,
-            stages=stages,
-            trials=trials,
-            seed=child_seed(base_seed, index),
-            success_cutoff=success_cutoff,
-        )
-        batches.append(run_batch(config, max_cells=max_cells))
-    return batches
+    """Run one batch per config of sweep_configs(...)."""
+    configs = sweep_configs(
+        deltas, trials, base_seed, stages=stages, success_cutoff=success_cutoff
+    )
+    return [run_batch(config, max_cells=max_cells) for config in configs]
 
 
 def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:

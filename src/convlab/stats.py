@@ -1,9 +1,15 @@
 """Statistical summaries and distribution checks for trial batches.
 
+Every summary is reduced from a histogram of totals (distinct values and
+their counts, see simulate.TotalsHistogram); a per-trial array is first
+counted with simulate.count_totals.
+
 Percentiles are nearest-rank: the p-th percentile of n sorted values is the
 element at 1-based rank ceil(p/100 * n). Standard deviation and variance use
 the n-1 denominator; skewness and excess kurtosis use bias-uncorrected
-central moments and are 0 by convention when the variance is 0.
+central moments and are 0 by convention when the variance is 0. All moments
+come from exact integer power sums, so the mean and the variance are the
+correctly rounded values of the exact rationals.
 
 The analytic reference for trial totals is the negative binomial law for
 `stages` successes at probability delta, pmf
@@ -13,17 +19,23 @@ C(k-1, stages-1) * delta**stages * (1-delta)**(k-stages) on k >= stages.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, InsufficientTailError
-from .simulate import TrialBatch
+from .simulate import TotalsHistogram, TrialBatch, count_totals
 
 __all__ = [
     "SummaryStats",
     "CcdfSeries",
     "summarize",
+    "summarize_histogram",
+    "histogram_mean",
+    "histogram_percentiles",
+    "histogram_ccdf",
     "nearest_rank_percentile",
     "conservative_factor",
     "iteration_efficiency",
@@ -68,7 +80,7 @@ class CcdfSeries:
 
 
 def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile of a 1-d sample."""
+    """Nearest-rank percentile of a 1-d sample (sort-based reference)."""
     arr = np.sort(np.asarray(values))
     if arr.size == 0:
         raise EmptyInputError("percentile of an empty sample is undefined")
@@ -76,6 +88,47 @@ def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     rank = math.ceil(percentile / 100.0 * arr.size)
     return float(arr[max(rank, 1) - 1])
+
+
+def _cumulative_counts(counts: np.ndarray, what: str) -> tuple[np.ndarray, int]:
+    """Running counts and the sample size; EmptyInputError for an empty sample."""
+    cumulative = np.cumsum(counts)
+    if cumulative.size == 0 or cumulative[-1] == 0:
+        raise EmptyInputError(f"{what} of an empty sample is undefined")
+    return cumulative, int(cumulative[-1])
+
+
+def histogram_percentiles(
+    values: np.ndarray, counts: np.ndarray, percentiles: Sequence[float]
+) -> list[float]:
+    """Nearest-rank percentiles of the sample that `counts` of `values` make up."""
+    cumulative, n = _cumulative_counts(counts, "percentile")
+    ranks = []
+    for percentile in percentiles:
+        if not 0.0 < percentile <= 100.0:
+            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+        ranks.append(max(math.ceil(percentile / 100.0 * n), 1))
+    # the rank-r element is the first value whose cumulative count reaches r
+    return [float(value) for value in values[np.searchsorted(cumulative, ranks)]]
+
+
+def _power_sums(values: np.ndarray, counts: np.ndarray, order: int) -> list[int]:
+    """Exact sums of counts * values**k for k = 0..order, as Python ints."""
+    terms = counts.tolist()
+    factors = values.tolist()
+    sums = [sum(terms)]
+    for _ in range(order):
+        terms = list(map(operator.mul, terms, factors))
+        sums.append(sum(terms))
+    return sums
+
+
+def histogram_mean(values: np.ndarray, counts: np.ndarray) -> float:
+    """Correctly rounded mean of the sample that `counts` of `values` make up."""
+    n, total = _power_sums(values, counts, 1)
+    if n == 0:
+        raise EmptyInputError("mean of an empty sample is undefined")
+    return total / n
 
 
 def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
@@ -107,24 +160,29 @@ def ci_width_99(std: float, n: int) -> float:
 
 def summarize(batch: TrialBatch) -> SummaryStats:
     """Full summary of a batch's totals; requires at least 2 trials."""
-    totals = batch.totals.astype(float)
-    n = totals.size
+    return summarize_histogram(TotalsHistogram.from_batch(batch))
+
+
+def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
+    """Full summary of a histogram of totals; requires at least 2 trials."""
+    values, counts, config = histogram.values, histogram.counts, histogram.config
+    n, s1, s2, s3, s4 = _power_sums(values, counts, 4)
     if n < 2:
         raise InsufficientDataError(f"summary needs >= 2 trials, got {n}")
-    mean = float(totals.mean())
-    variance = float(totals.var(ddof=1))
+    mean = s1 / n
+    # n**2 * m2, n**3 * m3 and n**4 * m4 for the central moments m_k
+    a2 = n * s2 - s1 * s1
+    variance = a2 / (n * (n - 1))
     std = math.sqrt(variance)
-    centered = totals - mean
-    m2 = float(np.mean(centered**2))
-    if m2 == 0.0:
+    if a2 == 0:
         skewness = 0.0
         kurtosis = 0.0
     else:
-        skewness = float(np.mean(centered**3)) / m2**1.5
-        kurtosis = float(np.mean(centered**4)) / m2**2 - 3.0
-    p25 = nearest_rank_percentile(totals, 25)
-    p75 = nearest_rank_percentile(totals, 75)
-    p99 = nearest_rank_percentile(totals, 99)
+        a3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
+        a4 = n**3 * s4 - 4 * n * n * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4
+        skewness = a3 / a2**1.5
+        kurtosis = a4 / (a2 * a2) - 3.0
+    p25, p75, p99 = histogram_percentiles(values, counts, (25, 75, 99))
     return SummaryStats(
         n=n,
         mean=mean,
@@ -136,23 +194,22 @@ def summarize(batch: TrialBatch) -> SummaryStats:
         p75=p75,
         p99=p99,
         iqr=p75 - p25,
-        success_rate=batch.success_rate,
-        conservative_factor=conservative_factor(
-            batch.config.delta, mean, batch.config.stages
-        ),
-        efficiency=iteration_efficiency(mean, batch.config.stages),
+        success_rate=histogram.success_rate,
+        conservative_factor=conservative_factor(config.delta, mean, config.stages),
+        efficiency=iteration_efficiency(mean, config.stages),
         ci_width_99=ci_width_99(std, n),
     )
 
 
 def ccdf(totals: np.ndarray) -> CcdfSeries:
-    """Empirical P(total > k) at every distinct k, in increasing k."""
-    arr = np.asarray(totals)
-    if arr.size == 0:
-        raise EmptyInputError("ccdf of an empty sample is undefined")
-    values, counts = np.unique(arr, return_counts=True)
-    greater = arr.size - np.cumsum(counts)
-    probs = greater / arr.size
+    """Empirical P(total > k) at every distinct k of integer totals, increasing."""
+    return histogram_ccdf(*count_totals(totals))
+
+
+def histogram_ccdf(values: np.ndarray, counts: np.ndarray) -> CcdfSeries:
+    """Empirical P(total > k) at every distinct k of a histogram, increasing."""
+    cumulative, n = _cumulative_counts(counts, "ccdf")
+    probs = (n - cumulative) / n
     return CcdfSeries(
         points=tuple(
             (int(k), float(p)) for k, p in zip(values.tolist(), probs.tolist())

@@ -427,3 +427,18 @@ def test_help_exits_cleanly(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "exact" in out and "sweep" in out and "monitor" in out
+
+
+@pytest.mark.parametrize(
+    ("flag", "env"), [("-1", None), (None, "18446744073709551616"), (str(2**64), "1")]
+)
+def test_out_of_range_seed_is_usage_error(capsys, monkeypatch, flag, env):
+    monkeypatch.delenv("CONVLAB_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CONVLAB_SEED", env)
+    args = ["tail", "--delta", "0.5", "--trials", "10"]
+    if flag is not None:
+        args += ["--seed", flag]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert "seed must be an unsigned 64-bit integer" in err

@@ -1,0 +1,169 @@
+"""The chunked histogram path against the per-trial reference path.
+
+`run_histogram` and the histogram reducers in `stats` serve the CLI;
+`run_batch`, `np.unique` and `nearest_rank_percentile` are the slow
+references they must reproduce exactly.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as scipy_stats
+
+from convlab.errors import EmptyInputError, InsufficientDataError, ResourceLimitError
+from convlab.simulate import (
+    CHUNK_ROWS,
+    DENSE_LIMIT,
+    SimConfig,
+    TotalsHistogram,
+    count_totals,
+    run_batch,
+    run_histogram,
+)
+from convlab.stats import (
+    histogram_ccdf,
+    histogram_mean,
+    histogram_percentiles,
+    nearest_rank_percentile,
+    summarize,
+    summarize_histogram,
+)
+
+PERCENTILES = (1, 25, 50, 75, 99, 99.9, 100)
+
+deltas = st.one_of(
+    st.just(1.0),
+    st.floats(min_value=1e-10, max_value=1e-6),
+    st.floats(min_value=1e-6, max_value=1.0, exclude_min=True),
+)
+trial_counts = st.sampled_from(
+    [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    delta=deltas,
+    stages=st.integers(min_value=1, max_value=6),
+    trials=trial_counts,
+    seed=st.sampled_from([0, 2**64 - 1]),
+)
+def test_histogram_path_matches_reference(delta, stages, trials, seed):
+    config = SimConfig(delta=delta, stages=stages, trials=trials, seed=seed)
+    totals = run_batch(config).totals
+    histogram = run_histogram(config)
+    values, counts = np.unique(totals, return_counts=True)
+    assert histogram.values.dtype == values.dtype
+    assert histogram.counts.dtype == counts.dtype
+    assert np.array_equal(histogram.values, values)
+    assert np.array_equal(histogram.counts, counts)
+
+    assert histogram_percentiles(values, counts, PERCENTILES) == [
+        nearest_rank_percentile(totals, p) for p in PERCENTILES
+    ]
+
+    exact = [int(total) for total in totals.tolist()]
+    s1 = sum(exact)
+    mean = histogram_mean(values, counts)
+    assert mean == float(Fraction(s1, trials))
+    if s1 < 2**53:  # the float64 sum inside totals.mean() is exact
+        assert mean == totals.mean()
+
+    greater = totals.size - np.cumsum(counts)
+    reference = tuple(zip(values.tolist(), (greater / totals.size).tolist()))
+    assert histogram_ccdf(histogram.values, histogram.counts).points == reference
+
+    if trials >= 2:
+        summary = summarize_histogram(histogram)
+        s2 = sum(total * total for total in exact)
+        assert summary.mean == mean
+        assert summary.variance == float(
+            Fraction(trials * s2 - s1 * s1, trials * (trials - 1))
+        )
+        assert summary.success_rate == run_batch(config).success_rate
+
+
+@pytest.mark.parametrize(("delta", "seed"), [(0.05, 1), (0.3, 2), (0.9, 3)])
+def test_higher_moments_match_scipy(delta, seed):
+    batch = run_batch(SimConfig(delta=delta, trials=20_000, seed=seed))
+    summary = summarize(batch)
+    totals = batch.totals.astype(float)
+    assert summary.skewness == pytest.approx(scipy_stats.skew(totals), rel=1e-9)
+    assert summary.kurtosis == pytest.approx(scipy_stats.kurtosis(totals), rel=1e-9)
+
+
+def test_count_totals_merges_dense_and_overflow_ranges():
+    totals = np.array([5, DENSE_LIMIT, 0, 10**12, DENSE_LIMIT - 1, 5, DENSE_LIMIT])
+    values, counts = count_totals(totals)
+    expected_values, expected_counts = np.unique(totals, return_counts=True)
+    assert np.array_equal(values, expected_values)
+    assert np.array_equal(counts, expected_counts)
+
+
+@pytest.mark.parametrize("totals", [np.array([1.0, 2.0]), np.array([3, -1])])
+def test_count_totals_rejects_non_counts(totals):
+    with pytest.raises(ValueError):
+        count_totals(totals)
+
+
+def test_reducers_reject_empty_histograms():
+    empty = np.array([], dtype=np.int64)
+    for reduce in (
+        lambda: histogram_percentiles(empty, empty, (50,)),
+        lambda: histogram_mean(empty, empty),
+        lambda: histogram_ccdf(empty, empty),
+    ):
+        with pytest.raises(EmptyInputError):
+            reduce()
+    with pytest.raises(ValueError):
+        histogram_percentiles(np.array([4]), np.array([1]), (0,))
+
+
+def test_summarize_histogram_requires_two_trials():
+    with pytest.raises(InsufficientDataError):
+        summarize_histogram(run_histogram(SimConfig(delta=0.5, trials=1)))
+
+
+def test_histogram_of_degenerate_delta_draws_nothing():
+    histogram = run_histogram(SimConfig(delta=1.0, stages=3, trials=CHUNK_ROWS + 7))
+    assert histogram.values.tolist() == [3]
+    assert histogram.counts.tolist() == [CHUNK_ROWS + 7]
+    assert histogram.success_rate == 1.0
+
+
+def test_histogram_metrics_and_read_only_arrays():
+    histogram = run_histogram(SimConfig(delta=0.2, trials=5_000, seed=1, success_cutoff=22))
+    assert histogram.runtime_seconds > 0.0
+    assert histogram.throughput_trials_per_second == pytest.approx(
+        5_000 / histogram.runtime_seconds
+    )
+    assert 0.0 < histogram.success_rate < 1.0
+    with pytest.raises(ValueError):
+        histogram.counts[0] = 0
+
+
+def test_from_batch_keeps_the_batch_metrics():
+    batch = run_batch(SimConfig(delta=0.4, trials=1_000, seed=5))
+    histogram = TotalsHistogram.from_batch(batch)
+    assert histogram.config == batch.config
+    assert histogram.runtime_seconds == batch.runtime_seconds
+    assert histogram.peak_memory_bytes == batch.peak_memory_bytes
+    assert histogram.success_rate == batch.success_rate
+
+
+def test_histogram_cell_budget_matches_run_batch():
+    with pytest.raises(ResourceLimitError):
+        run_histogram(SimConfig(delta=0.5, trials=300, seed=0), max_cells=1000)
+    run_histogram(SimConfig(delta=0.5, trials=64, seed=0), max_cells=256)
+
+
+def test_histogram_memory_is_bounded_by_the_chunk():
+    small = run_histogram(SimConfig(delta=0.5, trials=4 * CHUNK_ROWS, seed=0))
+    large = run_histogram(SimConfig(delta=0.5, trials=32 * CHUNK_ROWS, seed=0))
+    # float draws, int64 sojourns (4 stages each) and int64 totals per row
+    chunk_bytes = CHUNK_ROWS * (4 * 8 + 4 * 8 + 8)
+    assert large.peak_memory_bytes < 2 * chunk_bytes
+    assert large.peak_memory_bytes <= small.peak_memory_bytes + 2**16
