@@ -18,8 +18,10 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._io import write_text_atomic
 from .errors import OutOfOrderError
 from .regions import RegionLabel, classify
 from .rng import generator
@@ -32,7 +34,6 @@ __all__ = [
     "CalibrationState",
     "TraceEntry",
     "observe",
-    "estimate_delta",
     "replay",
     "synthesize_drift_stream",
     "event_to_json",
@@ -124,7 +125,6 @@ class CalibrationState:
     window: deque[bool] = field(default_factory=deque)
     successes: int = 0
     armed: bool = True
-    actions_emitted: int = 0
     policy_cursor: int = 0
     last_timestamp: int | None = None
 
@@ -143,10 +143,6 @@ class CalibrationState:
         if estimate == 0.0:
             return RegionLabel.MARGINAL
         return classify(estimate)
-
-
-def estimate_delta(state: CalibrationState) -> float | None:
-    return state.delta_hat
 
 
 def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
@@ -180,7 +176,6 @@ def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
         kind = config.action_policy[cursor]
         state.policy_cursor += 1
         state.armed = False
-        state.actions_emitted += 1
         return CalibrationAction(kind, estimate, event.timestamp)
     return CalibrationAction(ActionKind.NO_ACTION, estimate, event.timestamp)
 
@@ -308,11 +303,10 @@ def read_events_jsonl(lines: Iterable[str]) -> list[StageEvent]:
     return events
 
 
-def write_events_jsonl(events: Iterable[StageEvent], path) -> None:
-    from pathlib import Path
-
+def write_events_jsonl(events: Iterable[StageEvent], path: str | Path) -> None:
+    """Write one JSON line per event, atomically."""
     text = "".join(event_to_json(event) + "\n" for event in events)
-    Path(path).write_text(text)
+    write_text_atomic(Path(path), text)
 
 
 TRACE_CSV_HEADER = "ts,delta_hat,region,action"

@@ -19,15 +19,14 @@ CONVLAB_SEED environment variable, then the built-in default.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from ._io import write_text_atomic
 from .calibrate import (
     TRACE_CSV_HEADER,
     MonitorConfig,
@@ -96,20 +95,7 @@ class ReportRow:
     region: str
 
 
-REPORT_COLUMNS = [
-    "delta",
-    "theory",
-    "mean",
-    "std",
-    "conservative_factor",
-    "p99",
-    "success_rate_percent",
-    "efficiency",
-    "ci_width_99",
-    "runtime_seconds",
-    "throughput",
-    "region",
-]
+REPORT_COLUMNS = [field.name for field in fields(ReportRow)]
 VOLATILE_COLUMNS = {"runtime_seconds", "throughput"}
 
 
@@ -162,24 +148,11 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    directory = path.parent if str(path.parent) else Path(".")
-    descriptor, temp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp_name)
-        raise
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        _write_atomic(Path(out), text)
+        write_text_atomic(Path(out), text)
 
 
 def _info(message: str) -> None:
@@ -278,20 +251,12 @@ def _report_text(rows: list[ReportRow], fmt: str, include_volatile: bool) -> str
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
     try:
         deltas = parse_deltas(args.deltas)
+        configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    seed = _resolve_seed(args.seed)
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
-    for delta in deltas:
-        if not 0.0 < delta <= 1.0:
-            raise UsageError(f"delta must be in (0, 1], got {delta}")
-    if args.cutoff < 4:
-        raise UsageError(f"cutoff must be >= stages (4), got {args.cutoff}")
-
-    configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
     histograms = [run_histogram(config) for config in configs]
     rows = _build_report_rows(histograms)
     _emit(_report_text(rows, args.format, args.resource_metrics), args.out)
@@ -340,7 +305,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
             "fitted_slope": fitted,
             "theoretical_slope": theoretical,
         }
-        _write_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
+        write_text_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
     if fitted is not None:
         _info(f"tail: fitted slope {fitted:.6f}, theoretical {theoretical:.6f}")
     return EXIT_OK
@@ -421,7 +386,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "p75": p75,
             "p99": p99,
         }
-        _write_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
+        write_text_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -21,6 +21,8 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
+from ._io import write_text_atomic
+from .calibrate import StageEvent
 from .errors import TerminalStateError
 from .rng import child_seed, generator
 from .simulate import SimConfig, run_batch
@@ -39,8 +41,6 @@ __all__ = [
     "write_traces_jsonl",
 ]
 
-PIPELINE_STAGES = 4
-
 
 class PipelineState(enum.IntEnum):
     """Pipeline stages in order; VERIFIED is the terminal state."""
@@ -54,6 +54,9 @@ class PipelineState(enum.IntEnum):
     @property
     def label(self) -> str:
         return _STATE_LABELS[self]
+
+
+PIPELINE_STAGES = len(PipelineState) - 1
 
 
 _STATE_LABELS = {
@@ -229,10 +232,8 @@ def trace_events(trace: TraceRecord, trial_id: int = 0, start_timestamp: int = 0
     """Convert a trace to the monitor's event stream, losslessly.
 
     Each consecutive state pair becomes one attempt event: success when the
-    state advanced. Importing here avoids a cycle with the calibrate module.
+    state advanced.
     """
-    from .calibrate import StageEvent
-
     events = []
     timestamp = start_timestamp
     attempt_in_stage = 0
@@ -270,4 +271,4 @@ def write_traces_jsonl(traces: Iterable[TraceRecord], path: str | Path) -> None:
                 }
             )
         )
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    write_text_atomic(Path(path), "".join(line + "\n" for line in lines))

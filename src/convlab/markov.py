@@ -13,7 +13,6 @@ P(still running after k steps) <= tail_constant * spectral_radius**k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "decompose",
     "analyze",
     "spectral_radius",
-    "eigenvalue_radius",
-    "power_iteration_radius",
     "tail_bound",
     "exact_expected_steps_closed_form",
     "failure_counting_expected_steps",
@@ -204,7 +201,7 @@ def decompose(matrix: StochasticMatrix) -> CanonicalDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# spectral radius estimators
+# spectral radius
 # ---------------------------------------------------------------------------
 
 
@@ -227,37 +224,7 @@ def spectral_radius(transient_block: np.ndarray) -> float:
         raise ValueError("spectral radius needs a square matrix")
     if _is_triangular(matrix):
         return float(np.max(np.abs(np.diag(matrix))))
-    return eigenvalue_radius(matrix)
-
-
-def eigenvalue_radius(matrix: np.ndarray) -> float:
-    """Spectral radius via the dense eigensolver (general matrices)."""
-    arr = np.asarray(matrix, dtype=float)
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))
-
-
-def power_iteration_radius(
-    matrix: np.ndarray, tolerance: float = 1e-10, max_iterations: int = 100_000
-) -> float:
-    """Norm-ratio power iteration.
-
-    Reliable when the dominant eigenvalue is simple and well separated;
-    defective blocks (repeated eigenvalue, single eigenvector) converge only
-    harmonically and should use eigenvalue_radius instead.
-    """
-    arr = np.asarray(matrix, dtype=float)
-    vector = np.ones(arr.shape[0]) / math.sqrt(arr.shape[0])
-    estimate = 0.0
-    for _ in range(max_iterations):
-        image = arr @ vector
-        norm = float(np.linalg.norm(image))
-        if norm == 0.0:
-            return 0.0
-        vector = image / norm
-        if abs(norm - estimate) <= tolerance * max(1.0, norm):
-            return norm
-        estimate = norm
-    raise RuntimeError(f"power iteration did not converge in {max_iterations} steps")
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 # ---------------------------------------------------------------------------

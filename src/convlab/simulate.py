@@ -21,7 +21,9 @@ same arrays (see rng module for the stream derivation).
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -30,6 +32,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from ._io import write_text_atomic
 from .errors import ResourceLimitError
 from .rng import child_seed, generator, validate_seed
 
@@ -54,6 +57,7 @@ DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
 CHUNK_ROWS = 2**16            # trials drawn per chunk by run_histogram
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 T = TypeVar("T")
 
@@ -73,6 +77,14 @@ class SimConfig:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
+        if self.delta < 1.0:
+            # the longest sojourn inversion can draw, at u = 2**-53
+            longest = 53 * math.log(2) / -math.log1p(-self.delta)
+            if math.isinf(longest) or self.stages * math.ceil(longest) > INT64_MAX:
+                raise ValueError(
+                    f"delta {self.delta} is too small: {self.stages}-stage "
+                    "totals would overflow int64"
+                )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         validate_seed(self.seed)
@@ -383,25 +395,25 @@ def run_sweep(
 
 
 def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:
-    """Write per-trial rows plus a `<path>.meta.json` sidecar.
+    """Write per-trial rows plus a `<path>.meta.json` sidecar, each atomically.
 
     Header: trial,stage1,...,stageN,total,success. Sojourn counts are written
     as integers so a round trip is bit-exact; success is 1/0.
     """
-    path = Path(path)
     stage_names = [f"stage{j + 1}" for j in range(batch.config.stages)]
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial", *stage_names, "total", "success"])
-        rows = np.column_stack(
-            [
-                np.arange(batch.config.trials, dtype=np.int64),
-                batch.sojourns,
-                batch.totals,
-                batch.success_flags.astype(np.int64),
-            ]
-        )
-        writer.writerows(rows.tolist())
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["trial", *stage_names, "total", "success"])
+    rows = np.column_stack(
+        [
+            np.arange(batch.config.trials, dtype=np.int64),
+            batch.sojourns,
+            batch.totals,
+            batch.success_flags.astype(np.int64),
+        ]
+    )
+    writer.writerows(rows.tolist())
+    write_text_atomic(Path(path), buffer.getvalue())
     sidecar = {
         "config": asdict(batch.config),
         "seed": batch.config.seed,
@@ -409,4 +421,5 @@ def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:
         "throughput_trials_per_second": batch.throughput_trials_per_second,
         "peak_memory_bytes": batch.peak_memory_bytes,
     }
-    Path(f"{path}.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    sidecar_text = json.dumps(sidecar, indent=2) + "\n"
+    write_text_atomic(Path(f"{path}.meta.json"), sidecar_text)

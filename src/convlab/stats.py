@@ -45,8 +45,6 @@ __all__ = [
     "negbin_pmf",
     "negbin_cdf",
     "negbin_quantile",
-    "SUMMARY_CSV_HEADER",
-    "summary_csv_row",
 ]
 
 CI_99_MULTIPLIER = 2.576
@@ -275,34 +273,3 @@ def negbin_quantile(q: float, stages: int, delta: float) -> int:
             return k
         k += 1
 
-
-# ---------------------------------------------------------------------------
-# summary export
-# ---------------------------------------------------------------------------
-
-SUMMARY_CSV_HEADER = (
-    "delta,theory,mean,std,conservative_factor,p99,success_rate_percent,"
-    "variance,skewness,kurtosis,p25,p75,iqr,efficiency,ci_width_99"
-)
-
-
-def summary_csv_row(delta: float, stages: int, summary: SummaryStats) -> str:
-    """One fixed-format (6-decimal) CSV row matching SUMMARY_CSV_HEADER."""
-    fields = [
-        delta,
-        stages / delta,
-        summary.mean,
-        summary.std,
-        summary.conservative_factor,
-        summary.p99,
-        summary.success_rate * 100.0,
-        summary.variance,
-        summary.skewness,
-        summary.kurtosis,
-        summary.p25,
-        summary.p75,
-        summary.iqr,
-        summary.efficiency,
-        summary.ci_width_99,
-    ]
-    return ",".join(f"{value:.6f}" for value in fields)

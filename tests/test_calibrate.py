@@ -9,7 +9,6 @@ from convlab.calibrate import (
     CalibrationState,
     MonitorConfig,
     StageEvent,
-    estimate_delta,
     observe,
     parse_event_line,
     read_events_jsonl,
@@ -79,7 +78,7 @@ def test_delta_hat_undefined_below_min_samples():
     for event in events_from_outcomes([True, False, True, True]):
         action = observe(state, event)
         assert action.kind is ActionKind.NO_ACTION
-        assert estimate_delta(state) is None
+        assert state.delta_hat is None
         assert state.region is None
 
 
@@ -94,7 +93,7 @@ def test_delta_hat_matches_brute_force_recount():
         if seen < 5:
             continue
         recount = outcomes[max(0, seen - 25):seen]
-        assert estimate_delta(state) == pytest.approx(sum(recount) / len(recount))
+        assert state.delta_hat == pytest.approx(sum(recount) / len(recount))
 
 
 def test_window_never_exceeds_capacity():
@@ -110,7 +109,7 @@ def test_region_tracks_classification():
     state = CalibrationState(config=config)
     for event in events_from_outcomes([True, True, False, False]):
         observe(state, event)
-    assert estimate_delta(state) == 0.5
+    assert state.delta_hat == 0.5
     assert state.region is classify(0.5)
 
 
@@ -120,7 +119,7 @@ def test_zero_estimate_reports_marginal():
     state = CalibrationState(config=config)
     for event in events_from_outcomes([False, False, False]):
         observe(state, event)
-    assert estimate_delta(state) == 0.0
+    assert state.delta_hat == 0.0
     assert state.region is RegionLabel.MARGINAL
 
 

@@ -410,6 +410,18 @@ def test_distribution_degenerate_delta(tmp_path, capsys):
     assert out_path.read_text() == "k,count\n4,50\n"
 
 
+@pytest.mark.parametrize("command", ["tail", "distribution"])
+def test_delta_too_small_for_int64_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(
+        capsys, command, "--delta", "1e-300", "--trials", "10", "--out", str(out)
+    )
+    assert code == 2
+    assert "overflow int64" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # top-level parser
 # ---------------------------------------------------------------------------

@@ -13,10 +13,8 @@ from convlab.markov import (
     analyze,
     build_pipeline_chain,
     decompose,
-    eigenvalue_radius,
     exact_expected_steps_closed_form,
     failure_counting_expected_steps,
-    power_iteration_radius,
     spectral_radius,
     tail_bound,
 )
@@ -69,30 +67,6 @@ def test_failure_counting_convention():
 def test_pipeline_spectral_radius_exact(delta):
     decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
     assert spectral_radius(decomposition.transient_block) == 1.0 - delta
-
-
-def test_power_iteration_matches_eigenvalues_when_diagonalizable():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        raw = rng.random((4, 4)) * 0.2
-        block = raw / raw.sum(axis=1, keepdims=True)
-        block *= rng.uniform(0.5, 0.9, (4, 1))
-        assert power_iteration_radius(block) == pytest.approx(
-            eigenvalue_radius(block), abs=1e-8
-        )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the pipeline transient block is defective (one eigenvector for a "
-    "repeated eigenvalue), so norm-ratio power iteration converges only "
-    "harmonically and cannot reach 1e-8 agreement; measured error is ~4e-4 "
-    "after 1e5 iterations. eigenvalue_radius is the supported path.",
-)
-def test_power_iteration_on_pipeline_block():
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
-    estimate = power_iteration_radius(decomposition.transient_block)
-    assert estimate == pytest.approx(0.5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +138,7 @@ def test_truncated_series_on_random_chain(seed):
     decomposition = decompose(matrix)
     analysis = analyze(decomposition)
     block = decomposition.transient_block
-    radius = eigenvalue_radius(block)
+    radius = spectral_radius(block)
     cutoff = math.ceil(math.log(1e-9 / analysis.tail_constant) / math.log(radius))
     total = np.zeros(block.shape[0])
     term = np.ones(block.shape[0])

@@ -14,6 +14,7 @@ from convlab.simulate import (
     TrialBatch,
     export_batch_csv,
     run_batch,
+    run_histogram,
     run_sweep,
     sample_geometric,
 )
@@ -140,6 +141,23 @@ def test_sim_config_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SimConfig(**base)
+
+
+@pytest.mark.parametrize("run", [run_batch, run_histogram])
+@pytest.mark.parametrize("delta", [1e-300, 1e-18, 1.5e-17])
+def test_delta_whose_totals_overflow_int64_is_rejected(run, delta):
+    # at u = 2**-53 a sojourn reaches ceil(53 ln 2 / -ln(1 - delta)); four of
+    # them pass 2**63 below delta ~ 1.6e-17, where the int64 cast would wrap
+    with pytest.raises(ValueError, match="overflow int64"):
+        run(SimConfig(delta=delta, trials=5, seed=1))
+
+
+def test_smallest_delta_depends_on_stage_count():
+    SimConfig(delta=1.6e-17, stages=4)
+    SimConfig(delta=1.5e-17, stages=1)
+    with pytest.raises(ValueError):
+        SimConfig(delta=1.5e-17, stages=4)
+    assert run_histogram(SimConfig(delta=1e-7, trials=5, seed=1)).values.min() > 4
 
 
 def test_cell_budget_checked_before_allocation():

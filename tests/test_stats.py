@@ -10,7 +10,6 @@ from conftest import DELTAS
 from convlab.errors import EmptyInputError, InsufficientDataError, InsufficientTailError
 from convlab.simulate import SimConfig, TrialBatch, run_batch
 from convlab.stats import (
-    SUMMARY_CSV_HEADER,
     CcdfSeries,
     ccdf,
     ci_width_99,
@@ -21,7 +20,6 @@ from convlab.stats import (
     negbin_pmf,
     negbin_quantile,
     summarize,
-    summary_csv_row,
     tail_decay_fit,
 )
 
@@ -238,20 +236,3 @@ def test_negbin_p99_reproduces_reference_column():
 def test_million_trial_p99_matches_negbin(delta, million_totals):
     empirical = nearest_rank_percentile(million_totals[delta], 99)
     assert abs(empirical - negbin_quantile(0.99, 4, delta)) <= 1
-
-
-# ---------------------------------------------------------------------------
-# export format
-# ---------------------------------------------------------------------------
-
-
-def test_summary_csv_row_format():
-    batch = make_batch([[1, 1, 1, 1], [2, 1, 1, 1], [3, 2, 2, 2]])
-    summary = summarize(batch)
-    row = summary_csv_row(0.5, 4, summary)
-    cells = row.split(",")
-    assert len(cells) == len(SUMMARY_CSV_HEADER.split(","))
-    assert cells[0] == "0.500000"
-    assert cells[1] == "8.000000"  # theoretical expectation 4/delta
-    assert cells[2] == "6.000000"
-    assert all("." in cell for cell in cells)  # fixed six-decimal formatting
