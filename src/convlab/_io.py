@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from pathlib import Path
 
 
@@ -14,8 +13,9 @@ def write_text_atomic(path: Path, text: str) -> None:
     Readers see either the old file or the whole new one, never a partial
     file; on any failure the temporary file is removed.
     """
-    directory = path.parent if str(path.parent) else Path(".")
-    descriptor, temp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}.")
+    temp_name = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+    # mode 0o666 under O_EXCL: the umask sets the final permissions
+    descriptor = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(descriptor, "w") as handle:
             handle.write(text)

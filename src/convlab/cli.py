@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from pathlib import Path
 
 from ._io import write_text_atomic
@@ -63,7 +64,7 @@ __all__ = ["ReportRow", "main", "parse_deltas"]
 
 DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
-RANGE_TOLERANCE = 1e-9
+RANGE_TOLERANCE = Decimal("1e-9")  # in steps
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,30 +106,32 @@ VOLATILE_COLUMNS = {"runtime_seconds", "throughput"}
 
 
 def parse_deltas(text: str) -> list[float]:
-    """Parse `start:end:step` (inclusive within 1e-9) or a comma list."""
+    """Parse `start:end:step` (in decimal, end inclusive within 1e-9 step) or a comma list."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range syntax is start:end:step, got {text!r}")
-        start, end, step = (float(part) for part in parts)
-        if step <= 0.0:
+        bounds = [float(part) for part in parts]
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"range bounds must be finite, got {text!r}")
+        # decimal steps keep 0.1:0.9:0.1 on 0.1, 0.2, ..., 0.9 exactly
+        start, end, step = (Decimal(repr(bound)) for bound in bounds)
+        if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
-        if end < start - RANGE_TOLERANCE:
+        last = end + step * RANGE_TOLERANCE
+        if last < start:
             raise ValueError(f"range end {end} is below start {start}")
         values = []
         index = 0
-        while True:
-            value = start + index * step
-            if value > end + RANGE_TOLERANCE:
-                break
-            values.append(round(value, 12))
+        while (value := start + index * step) <= last:
+            values.append(float(value))
             index += 1
         return values
     pieces = [piece for piece in text.split(",") if piece.strip()]
     if not pieces:
         raise ValueError("no deltas given")
-    return [round(float(piece), 12) for piece in pieces]
+    return [float(piece) for piece in pieces]
 
 
 def _resolve_seed(flag_value: int | None) -> int:

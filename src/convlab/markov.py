@@ -7,8 +7,8 @@ too so results can be cross-checked against brute-force series summation.
 
 The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
-t = N 1, absorption probabilities B = N R, and the geometric tail bound
-P(still running after k steps) <= tail_constant * spectral_radius**k.
+t = N 1 and absorption probabilities B = N R. The worst-start runtime tail
+P(still running after k steps) is exactly ||Q^k||_inf (tail_bound).
 """
 
 from __future__ import annotations
@@ -128,9 +128,8 @@ class CanonicalDecomposition:
 class ChainAnalysis:
     """Exact absorption quantities for one decomposed chain.
 
-    tail_constant is the infinity norm of the fundamental matrix; together
-    with spectral_radius it bounds the runtime tail via
-    tail_constant * spectral_radius**k.
+    tail_constant is the infinity norm of the fundamental matrix, the
+    largest expected number of steps from any start state.
     """
 
     fundamental: np.ndarray        # expected visits: N[i, j] = visits to j from i
@@ -266,11 +265,12 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
     )
 
 
-def tail_bound(analysis: ChainAnalysis, k: int) -> float:
-    """Upper bound on P(not yet absorbed after k steps), clamped to 1."""
+def tail_bound(decomposition: CanonicalDecomposition, k: int) -> float:
+    """Worst-start P(not yet absorbed after k steps): ||Q^k||_inf, clamped to 1."""
     if k < 0:
         raise ValueError(f"step count must be non-negative, got {k}")
-    return min(1.0, analysis.tail_constant * analysis.spectral_radius**k)
+    power = np.linalg.matrix_power(decomposition.transient_block, k)
+    return min(1.0, float(power.sum(axis=1).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ HighPerformance above the upper threshold.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+from .stats import _survival_horizon
 
 __all__ = [
     "RegionLabel",
@@ -52,24 +53,8 @@ def classify(delta: float, thresholds: RegionThresholds = DEFAULT_THRESHOLDS) ->
     return RegionLabel.HIGH_PERFORMANCE
 
 
-def recommended_timeout(
-    delta: float, epsilon: float, tail_constant: float = 1.0, stages: int = 4
-) -> int:
-    """Smallest k >= stages with tail_constant * (1 - delta)**k <= epsilon.
-
-    tail_constant defaults to 1 for callers without a chain analysis;
-    pass ChainAnalysis.tail_constant when one is available. delta = 1
-    -- no retries possible -- returns stages.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+def recommended_timeout(delta: float, epsilon: float, stages: int = 4) -> int:
+    """Smallest k whose exact miss probability stats.negbin_survival(k) is <= epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if tail_constant < 1.0:
-        raise ValueError(f"tail constant must be >= 1, got {tail_constant}")
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
-    if delta == 1.0:
-        return stages
-    steps = math.ceil(math.log(epsilon / tail_constant) / math.log1p(-delta))
-    return max(stages, steps)
+    return _survival_horizon(epsilon, stages, delta)  # negbin_survival checks the rest

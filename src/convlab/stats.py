@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
     "tail_decay_fit",
     "negbin_pmf",
     "negbin_cdf",
+    "negbin_survival",
     "negbin_quantile",
 ]
 
@@ -254,22 +256,32 @@ def negbin_pmf(k: int, stages: int, delta: float) -> float:
     )
 
 
-def negbin_cdf(k: int, stages: int, delta: float) -> float:
-    """P(total iterations <= k), summed termwise from k = stages."""
+def negbin_survival(k: int, stages: int, delta: float) -> float:
+    """P(total iterations > k) = P(Binomial(k, delta) < stages), summed in `stages` terms."""
     _check_negbin_args(stages, delta)
-    return sum(negbin_pmf(j, stages, delta) for j in range(stages, k + 1))
+    if k < stages:
+        return 1.0
+    return math.fsum(
+        math.comb(k, j) * delta**j * (1.0 - delta) ** (k - j) for j in range(stages)
+    )
+
+
+def negbin_cdf(k: int, stages: int, delta: float) -> float:
+    """P(total iterations <= k) = 1 - negbin_survival(k)."""
+    return 1.0 - negbin_survival(k, stages, delta)
+
+
+def _survival_horizon(tail: float, stages: int, delta: float) -> int:
+    """Smallest k with negbin_survival(k) <= tail (0 < tail < 1): double, then bisect."""
+    below, above = stages - 1, stages  # survival is 1 below stages
+    while negbin_survival(above, stages, delta) > tail:
+        below, above = above, 2 * above
+    ks = range(below + 1, above + 1)
+    return ks[bisect_left(ks, True, key=lambda k: negbin_survival(k, stages, delta) <= tail)]
 
 
 def negbin_quantile(q: float, stages: int, delta: float) -> int:
-    """Smallest k with CDF(k) >= q, found by forward pmf summation."""
-    _check_negbin_args(stages, delta)
+    """Smallest k with CDF(k) >= q, that is with negbin_survival(k) <= 1 - q."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    cumulative = 0.0
-    k = stages
-    while True:
-        cumulative += negbin_pmf(k, stages, delta)
-        if cumulative >= q:
-            return k
-        k += 1
-
+    return _survival_horizon(1.0 - q, stages, delta)

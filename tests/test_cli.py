@@ -41,6 +41,19 @@ def test_parse_deltas_rejects_malformed(text):
         parse_deltas(text)
 
 
+def test_parse_deltas_takes_values_as_given():
+    assert parse_deltas("1e-13") == [1e-13]
+    assert parse_deltas("1.23456789e-9,0.5") == [1.23456789e-9, 0.5]
+    # decimal steps, and the end tolerance scales with the step
+    assert parse_deltas("1e-13:3e-13:1e-13") == [1e-13, 2e-13, 3e-13]
+
+
+@pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:0.5:0.1", "0.1:0.5:nan"])
+def test_parse_deltas_rejects_non_finite_range(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_deltas(text)
+
+
 # ---------------------------------------------------------------------------
 # exact
 # ---------------------------------------------------------------------------
@@ -151,6 +164,18 @@ def test_sweep_json_format(tmp_path, capsys):
     assert rows[0]["region"] == "Practical"
     assert "runtime_seconds" not in rows[0]  # volatile fields stay opt-in
     assert rows[0]["theory"] == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("delta", ["1e-13", "1.23456789e-9"])
+def test_sweep_runs_small_deltas_unrounded(tmp_path, capsys, delta):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "sweep", "--deltas", delta, "--trials", "10", "--seed", "1",
+        "--format", "json", "--out", str(out_path),
+    )
+    assert code == 0
+    assert json.loads(out_path.read_text())[0]["delta"] == float(delta)
 
 
 def test_sweep_degenerate_delta_row(tmp_path, capsys):

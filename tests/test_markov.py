@@ -18,6 +18,7 @@ from convlab.markov import (
     spectral_radius,
     tail_bound,
 )
+from convlab.stats import negbin_survival
 
 FINE_DELTAS = [0.01] + [round(0.05 * i, 2) for i in range(1, 20)] + [1.0]
 
@@ -178,20 +179,31 @@ def test_from_entries_detects_absorbing_states():
 
 
 def test_tail_bound_values(campaign_batches):
-    analysis = pipeline_analysis(0.5)
-    assert tail_bound(analysis, 0) == 1.0  # capped at certainty
-    assert tail_bound(analysis, 40) == pytest.approx(8.0 * 0.5**40)
-    bounds = [tail_bound(analysis, k) for k in range(4, 60)]
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
+    assert tail_bound(decomposition, 0) == 1.0  # certainty before any step
+    # P(T > 40) = P(Bin(40, 1/2) < 4) = (1 + 40 + 780 + 9880) / 2**40
+    assert tail_bound(decomposition, 40) == pytest.approx(10701 / 2**40, rel=1e-12)
+    bounds = [tail_bound(decomposition, k) for k in range(4, 60)]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     # no observed trial at delta=0.5 outlives the k=40 bound's regime
     batch = next(b for b in campaign_batches if b.config.delta == 0.5)
     assert int((batch.totals > 40).sum()) == 0
 
 
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 0.9])
+def test_tail_bound_is_the_stage_sum_survival(delta):
+    """||Q^k||_inf of the pipeline block is P(T > k) from the first stage."""
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
+    for k in range(401):
+        survival = negbin_survival(k, 4, delta)
+        if survival >= 1e-290:
+            assert math.isclose(tail_bound(decomposition, k), survival, rel_tol=1e-12)
+
+
 def test_tail_bound_rejects_negative_horizon():
-    analysis = pipeline_analysis(0.5)
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
     with pytest.raises(ValueError):
-        tail_bound(analysis, -1)
+        tail_bound(decomposition, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Metric suite: summary moments, percentiles, CCDF, negative binomial law."""
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from conftest import DELTAS
@@ -19,6 +24,7 @@ from convlab.stats import (
     negbin_cdf,
     negbin_pmf,
     negbin_quantile,
+    negbin_survival,
     summarize,
     tail_decay_fit,
 )
@@ -214,6 +220,72 @@ def test_negbin_identities(delta):
     assert mean == pytest.approx(4.0 / delta, rel=1e-4)
     variance = float((ks**2 * masses).sum()) - mean**2
     assert variance == pytest.approx(4.0 * (1.0 - delta) / delta**2, rel=1e-3)
+
+
+def exact_survival(k, stages, delta):
+    """P(total > k) in exact rational arithmetic on the float delta."""
+    delta = Fraction(delta)
+    return sum(
+        math.comb(k, j) * delta**j * (1 - delta) ** (k - j)
+        for j in range(min(stages, k + 1))
+    )
+
+
+negbin_deltas = st.one_of(
+    st.just(1.0),
+    st.floats(min_value=1e-12, max_value=1e-3),
+    st.floats(min_value=1e-3, max_value=1.0, exclude_min=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=400),
+    stages=st.integers(min_value=1, max_value=6),
+    delta=negbin_deltas,
+)
+def test_negbin_survival_and_cdf_match_exact_rationals(k, stages, delta):
+    exact = exact_survival(k, stages, delta)
+    survival = negbin_survival(k, stages, delta)
+    if exact >= Fraction(1e-290):
+        assert abs(Fraction(survival) - exact) <= Fraction(1e-12) * exact
+    assert abs(Fraction(negbin_cdf(k, stages, delta)) - (1 - exact)) <= Fraction(1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    stages=st.integers(min_value=1, max_value=6),
+    delta=negbin_deltas,
+)
+def test_negbin_quantile_is_first_k_at_or_below_the_tail(q, stages, delta):
+    k = negbin_quantile(q, stages, delta)
+    assert k >= stages  # the support starts there, whatever 1 - q rounds to
+    assert negbin_survival(k, stages, delta) <= 1.0 - q
+    if k > stages:
+        assert negbin_survival(k - 1, stages, delta) > 1.0 - q
+
+
+@pytest.mark.parametrize(
+    ("q", "stages", "delta", "expected"),
+    [
+        # a forward pmf sum loses the 1e-9 tail in rounding over 291k terms
+        (1.0 - 1e-9, 4, 1e-4, 291525),
+        # S(9) = 0.1**9 exceeds 1 - q, which is 9.9999997e-10 in binary
+        (1.0 - 1e-9, 1, 0.9, 10),
+    ],
+)
+def test_negbin_quantile_deep_tail(q, stages, delta, expected):
+    assert negbin_quantile(q, stages, delta) == expected
+    with decimal.localcontext() as context:
+        context.prec = 80
+        tail = 1 - Decimal(q)
+        d = Decimal(delta)
+
+        def survival(k):
+            return sum(math.comb(k, j) * d**j * (1 - d) ** (k - j) for j in range(stages))
+
+        assert survival(expected) <= tail < survival(expected - 1)
 
 
 def test_negbin_quantile_validation():
