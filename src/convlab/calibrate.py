@@ -10,16 +10,25 @@ line cannot fire repeatedly.
 State is a single-writer machine: one owner feeds observe() events with
 non-decreasing timestamps. Streams serialize as JSON lines
 {"trial": .., "stage": .., "attempt": .., "success": .., "ts": ..}.
+
+observe() is the streaming monitor and the reference for the columnar one:
+parse_event_columns() reads a whole stream into numpy columns, and
+monitor_columns() computes every window estimate from one cumulative sum and
+the hysteresis from a walk over threshold crossings, one step per action.
+replay() and `convlab monitor` run the columnar monitor.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._io import write_text_atomic
 from .errors import OutOfOrderError
@@ -33,12 +42,16 @@ __all__ = [
     "MonitorConfig",
     "CalibrationState",
     "TraceEntry",
+    "EventColumns",
+    "MonitorTrace",
     "observe",
+    "monitor_columns",
     "replay",
     "synthesize_drift_stream",
     "event_to_json",
     "parse_event_line",
     "read_events_jsonl",
+    "parse_event_columns",
     "write_events_jsonl",
     "TRACE_CSV_HEADER",
     "trace_entry_csv_row",
@@ -117,6 +130,15 @@ class MonitorConfig:
             raise ValueError(f"stage_filter must be >= 1, got {self.stage_filter}")
 
 
+def _region(estimate: float | None) -> RegionLabel | None:
+    """Region of a window estimate; 0 is Marginal though classify rejects it."""
+    if estimate is None:
+        return None
+    if estimate == 0.0:
+        return RegionLabel.MARGINAL
+    return classify(estimate)
+
+
 @dataclass
 class CalibrationState:
     """Mutable monitor state; single logical owner, no concurrent writers."""
@@ -137,12 +159,7 @@ class CalibrationState:
 
     @property
     def region(self) -> RegionLabel | None:
-        estimate = self.delta_hat
-        if estimate is None:
-            return None
-        if estimate == 0.0:
-            return RegionLabel.MARGINAL
-        return classify(estimate)
+        return _region(self.delta_hat)
 
 
 def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
@@ -190,19 +207,138 @@ class TraceEntry:
 
 def replay(events: Iterable[StageEvent], config: MonitorConfig) -> list[TraceEntry]:
     """Run a fresh monitor over an event stream; one trace entry per event."""
-    state = CalibrationState(config=config)
-    trace = []
-    for event in events:
-        action = observe(state, event)
-        trace.append(
-            TraceEntry(
-                timestamp=event.timestamp,
-                delta_hat=state.delta_hat,
-                region=state.region,
-                action=action.kind,
-            )
+    return monitor_columns(EventColumns.from_events(events), config).entries()
+
+
+# ---------------------------------------------------------------------------
+# columnar monitor
+# ---------------------------------------------------------------------------
+
+
+def _int_column(values: list[int]) -> np.ndarray:
+    """int64 column, or an object column of Python ints once a value leaves int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True)
+class EventColumns:
+    """An event stream as columns, one entry per event. Integer columns are
+    int64, or object columns of Python ints when a value leaves int64."""
+
+    trial: np.ndarray
+    stage: np.ndarray
+    attempt: np.ndarray
+    success: np.ndarray     # bool
+    ts: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: Iterable[StageEvent]) -> EventColumns:
+        events = list(events)
+        return cls(
+            trial=_int_column([event.trial_id for event in events]),
+            stage=_int_column([event.stage for event in events]),
+            attempt=_int_column([event.attempt for event in events]),
+            success=np.array([event.success for event in events], dtype=bool),
+            ts=_int_column([event.timestamp for event in events]),
         )
-    return trace
+
+
+@dataclass(frozen=True)
+class MonitorTrace:
+    """A monitor run as columns: after event i the window holds `fill[i]`
+    outcomes, `successes[i]` of them successes, and the estimate is defined
+    where `defined[i]`. Event `fired[j]` fired action `kinds[j]`."""
+
+    ts: np.ndarray
+    successes: np.ndarray
+    fill: np.ndarray
+    defined: np.ndarray
+    fired: np.ndarray
+    kinds: tuple[ActionKind, ...]
+
+    def entries(self) -> list[TraceEntry]:
+        """The trace as replay() returns it, one TraceEntry per event."""
+        actions = [ActionKind.NO_ACTION] * self.ts.size
+        for index, kind in zip(self.fired.tolist(), self.kinds):
+            actions[index] = kind
+        trace = []
+        for stamp, successes, fill, defined, action in zip(
+            self.ts.tolist(), self.successes.tolist(), self.fill.tolist(),
+            self.defined.tolist(), actions,
+        ):
+            estimate = successes / fill if defined else None
+            trace.append(TraceEntry(stamp, estimate, _region(estimate), action))
+        return trace
+
+    def csv(self) -> str:
+        """The trace CSV, byte for byte what trace_entry_csv_row writes per entry.
+
+        Each row is the timestamp plus a suffix looked up in a table over the
+        distinct (fill, successes) pairs, fewer than (W+1)(W+2)/2 of them for
+        a window of W, and one entry for an undefined estimate.
+        """
+        base = self.ts.size + 1
+        pairs = np.where(self.defined, self.fill * base + self.successes, -1)
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        table = []
+        for pair in distinct.tolist():
+            if pair < 0:
+                table.append(",,,NoAction")
+                continue
+            fill, successes = divmod(pair, base)
+            estimate = successes / fill
+            table.append(f",{estimate:.6f},{_region(estimate).value},NoAction")
+        suffixes = np.array(table, dtype=object)[inverse]
+        for index, kind in zip(self.fired.tolist(), self.kinds):
+            suffixes[index] = suffixes[index].removesuffix("NoAction") + kind.value
+        rows = map(str.__add__, map(str, self.ts.tolist()), suffixes.tolist())
+        return "\n".join([TRACE_CSV_HEADER, *rows, ""])
+
+
+def monitor_columns(columns: EventColumns, config: MonitorConfig) -> MonitorTrace:
+    """What a fresh CalibrationState gives when observe() is fed every event.
+
+    Raises OutOfOrderError, with observe()'s message, at the first decrease
+    of the timestamps.
+    """
+    ts = columns.ts
+    later = np.flatnonzero(np.diff(ts) < 0)
+    if later.size:
+        index = int(later[0])
+        raise OutOfOrderError(f"timestamp {ts[index + 1]} arrived after {ts[index]}")
+
+    n = ts.size
+    if config.stage_filter is None:
+        kept = np.ones(n, dtype=bool)
+    else:
+        kept = columns.stage == config.stage_filter
+    # seen[i]: windowed events up to event i; the window is the last min(seen, W)
+    seen = np.cumsum(kept)
+    running = np.concatenate(([0], np.cumsum(columns.success[kept], dtype=np.int64)))
+    fill = np.minimum(seen, min(config.window_size, n))
+    successes = running[seen] - running[seen - fill]
+    defined = fill >= min(config.min_samples, n + 1)
+
+    # Only windowed events with an estimate move the hysteresis. Disarmed
+    # after an action, the monitor fires again at the first estimate below
+    # the trigger that follows an estimate at or above the re-arm threshold.
+    estimate = successes / np.maximum(fill, 1)
+    live = kept & defined
+    below = np.flatnonzero(live & (estimate < config.trigger_threshold))
+    rearm = np.flatnonzero(live & (estimate >= config.rearm_threshold))
+    fired: list[int] = []
+    start = 0
+    while (at := int(np.searchsorted(below, start))) < below.size:
+        fired.append(int(below[at]))
+        if (at := int(np.searchsorted(rearm, fired[-1]))) == rearm.size:
+            break
+        start = int(rearm[at])
+    policy = config.action_policy
+    kinds = tuple(policy[min(count, len(policy) - 1)] for count in range(len(fired)))
+    return MonitorTrace(ts, successes, fill, defined, np.array(fired, dtype=np.int64), kinds)
 
 
 def synthesize_drift_stream(
@@ -252,14 +388,11 @@ def synthesize_drift_stream(
 
 
 def event_to_json(event: StageEvent) -> str:
-    return json.dumps(
-        {
-            "trial": event.trial_id,
-            "stage": event.stage,
-            "attempt": event.attempt,
-            "success": event.success,
-            "ts": event.timestamp,
-        }
+    """One JSON line, byte for byte what json.dumps gives for the five fields."""
+    success = "true" if event.success else "false"
+    return (
+        f'{{"trial": {event.trial_id}, "stage": {event.stage}, '
+        f'"attempt": {event.attempt}, "success": {success}, "ts": {event.timestamp}}}'
     )
 
 
@@ -301,6 +434,47 @@ def read_events_jsonl(lines: Iterable[str]) -> list[StageEvent]:
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from exc
     return events
+
+
+# One line exactly as event_to_json writes it; at most 18 digits keep every
+# integer inside int64.
+_CANONICAL_INT = "(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_LINE = re.compile(
+    r'^\{"trial": %s, "stage": %s, "attempt": %s, "success": (?:true|false), "ts": %s\}$'
+    % ((_CANONICAL_INT,) * 4),
+    re.MULTILINE,
+)
+# Over canonical lines, this map leaves six integers per line: trial, stage,
+# attempt, 1 for the "u" of "success", 1 for the "u" of "true" or 0 for the
+# "f" of "false" (no other key holds either letter), ts. Every other ASCII
+# character becomes a space.
+_CANONICAL_NUMBERS = str.maketrans(
+    {chr(code): " " for code in range(128) if not chr(code).isdigit()} | {"u": "1", "f": "0"}
+)
+
+
+def parse_event_columns(text: str) -> EventColumns:
+    """Parse a whole event stream: lines split on LF only, blank lines skipped.
+
+    When every non-blank line is exactly what event_to_json writes, one regex
+    checks the stream and one numpy call reads its columns. Every other
+    stream, and a canonical one with a stage or attempt below 1, goes through
+    read_events_jsonl line by line, so an error names the same line with the
+    same message.
+    """
+    if text.isascii():
+        leftover, canonical = _CANONICAL_LINE.subn("", text)
+        # the regex matches whole lines, so only blank lines may be left over
+        if not leftover.strip():
+            # a known count lets fromstring allocate once instead of growing,
+            # and it reads a blank stream as no numbers instead of one 0
+            numbers = np.fromstring(
+                text.translate(_CANONICAL_NUMBERS), dtype=np.int64, count=6 * canonical, sep=" "
+            )
+            trial, stage, attempt, _, success, ts = numbers.reshape(-1, 6).T
+            if (stage >= 1).all() and (attempt >= 1).all():
+                return EventColumns(trial, stage, attempt, success == 1, ts)
+    return EventColumns.from_events(read_events_jsonl(text.split("\n")))
 
 
 def write_events_jsonl(events: Iterable[StageEvent], path: str | Path) -> None:

@@ -23,18 +23,13 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from pathlib import Path
 
 from ._io import write_text_atomic
-from .calibrate import (
-    TRACE_CSV_HEADER,
-    MonitorConfig,
-    read_events_jsonl,
-    replay,
-    trace_entry_csv_row,
-)
+from .calibrate import MonitorConfig, monitor_columns, parse_event_columns
 from .errors import InsufficientTailError, OutOfOrderError, ResourceLimitError
 from .markov import (
     PipelineSpec,
@@ -51,12 +46,14 @@ from .stats import (
     histogram_ccdf,
     histogram_mean,
     histogram_percentiles,
+    prefactor_corrected_slope,
     summarize_histogram,
     tail_decay_fit,
 )
 
 # The CLI no longer calls these; they stay importable here because the
 # benchmark's tracer wraps them at this import site (perfbench/layers.py).
+from .calibrate import read_events_jsonl, replay, trace_entry_csv_row  # noqa: F401
 from .simulate import run_batch, run_sweep  # noqa: F401
 from .stats import ccdf, nearest_rank_percentile, summarize  # noqa: F401
 
@@ -160,6 +157,14 @@ def _emit(text: str, out: str) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _read_input(name: str) -> str:
+    """A file, or stdin for "-", as text with universal newlines: CR LF and a
+    lone CR read as LF, as reading a file in text mode already gives."""
+    if name == "-":
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+    return Path(name).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,12 @@ def cmd_tail(args: argparse.Namespace) -> int:
         }
         write_text_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
     if fitted is not None:
-        _info(f"tail: fitted slope {fitted:.6f}, theoretical {theoretical:.6f}")
+        kept = [k for k, prob in series.points if prob > floor_prob]
+        corrected = prefactor_corrected_slope(fitted, kept, config.delta, config.stages)
+        _info(
+            f"tail: fitted slope {fitted:.6f}, prefactor-corrected {corrected:.6f}, "
+            f"theoretical {theoretical:.6f}"
+        )
     return EXIT_OK
 
 
@@ -330,28 +340,19 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        lines = Path(args.input).read_text().splitlines()
     try:
-        events = read_events_jsonl(lines)
+        columns = parse_event_columns(_read_input(args.input))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 
-    trace = replay(events, config)
-    out_lines = [TRACE_CSV_HEADER]
-    out_lines.extend(trace_entry_csv_row(entry) for entry in trace)
-    _emit("\n".join(out_lines) + "\n", args.out)
+    trace = monitor_columns(columns, config)
+    _emit(trace.csv(), args.out)
 
-    counts: dict[str, int] = {}
-    for entry in trace:
-        if entry.action.value != "NoAction":
-            counts[entry.action.value] = counts.get(entry.action.value, 0) + 1
+    counts = Counter(kind.value for kind in trace.kinds)
     triggered = ", ".join(f"{kind}: {count}" for kind, count in sorted(counts.items()))
     _info(
-        f"monitor: {len(events)} events, {sum(counts.values())} actions"
+        f"monitor: {trace.ts.size} events, {len(trace.kinds)} actions"
         + (f" ({triggered})" if counts else "")
     )
     return EXIT_OK

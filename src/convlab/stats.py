@@ -22,6 +22,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "ci_width_99",
     "ccdf",
     "tail_decay_fit",
+    "prefactor_corrected_slope",
     "negbin_pmf",
     "negbin_cdf",
     "negbin_survival",
@@ -232,6 +234,22 @@ def tail_decay_fit(series: CcdfSeries, floor_prob: float) -> float:
     return float(slope)
 
 
+def prefactor_corrected_slope(
+    fitted_slope: float, ks: Sequence[int], delta: float, stages: int = 4
+) -> float:
+    """A log-linear tail slope fitted over `ks`, less its polynomial-prefactor part.
+
+    The exact survival is (1-delta)**k times a degree-(stages-1) polynomial in
+    k, so the OLS slope of ln negbin_survival over the same `ks` exceeds
+    ln(1-delta) by the prefactor's share. OLS is linear in its response, so
+    subtracting that share from `fitted_slope` estimates ln(1-delta).
+    """
+    ks = np.asarray(ks, dtype=float)
+    exact = np.log([negbin_survival(int(k), stages, delta) for k in ks])
+    exact_slope, _ = np.polyfit(ks, exact, 1)
+    return fitted_slope - (float(exact_slope) - math.log1p(-delta))
+
+
 # ---------------------------------------------------------------------------
 # negative binomial reference law
 # ---------------------------------------------------------------------------
@@ -244,16 +262,25 @@ def _check_negbin_args(stages: int, delta: float) -> None:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
 
 
+def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
+    """comb * delta**successes * (1-delta)**failures, evaluated left to right.
+
+    A binomial coefficient past the float range (about 1.8e308) makes the
+    float product overflow; that term is then computed as an exact rational
+    and rounded once.
+    """
+    try:
+        return comb * delta**successes * (1.0 - delta) ** failures
+    except OverflowError:
+        return float(comb * Fraction(delta) ** successes * Fraction(1.0 - delta) ** failures)
+
+
 def negbin_pmf(k: int, stages: int, delta: float) -> float:
     """P(total iterations = k) for the stage-sum law; 0 below k = stages."""
     _check_negbin_args(stages, delta)
     if k < stages:
         return 0.0
-    return (
-        math.comb(k - 1, stages - 1)
-        * delta**stages
-        * (1.0 - delta) ** (k - stages)
-    )
+    return _comb_term(math.comb(k - 1, stages - 1), delta, stages, k - stages)
 
 
 def negbin_survival(k: int, stages: int, delta: float) -> float:
@@ -261,9 +288,7 @@ def negbin_survival(k: int, stages: int, delta: float) -> float:
     _check_negbin_args(stages, delta)
     if k < stages:
         return 1.0
-    return math.fsum(
-        math.comb(k, j) * delta**j * (1.0 - delta) ** (k - j) for j in range(stages)
-    )
+    return math.fsum(_comb_term(math.comb(k, j), delta, j, k - j) for j in range(stages))
 
 
 def negbin_cdf(k: int, stages: int, delta: float) -> float:

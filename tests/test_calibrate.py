@@ -1,15 +1,25 @@
 """Drift monitor: window estimates, hysteresis, stream parsing, synthesis."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convlab import calibrate
 from convlab.calibrate import (
     TRACE_CSV_HEADER,
     ActionKind,
     CalibrationState,
+    EventColumns,
     MonitorConfig,
     StageEvent,
+    TraceEntry,
+    event_to_json,
+    monitor_columns,
     observe,
+    parse_event_columns,
     parse_event_line,
     read_events_jsonl,
     replay,
@@ -305,3 +315,196 @@ def test_trace_csv_row_with_action():
     config = MonitorConfig(window_size=4, min_samples=4)
     trace = replay(events_from_outcomes([False, False, False, False]), config)
     assert trace_entry_csv_row(trace[-1]) == "3,0.000000,Marginal,Alert"
+
+
+# ---------------------------------------------------------------------------
+# columnar monitor against the streaming reference
+# ---------------------------------------------------------------------------
+
+
+def reference_trace(events, config):
+    """The event-by-event trace: one observe() call per event."""
+    state = CalibrationState(config=config)
+    trace = []
+    for event in events:
+        action = observe(state, event)
+        trace.append(TraceEntry(event.timestamp, state.delta_hat, state.region, action.kind))
+    return trace
+
+
+@st.composite
+def monitor_cases(draw):
+    window = draw(st.integers(1, 12))
+    min_samples = draw(st.integers(1, window))
+    # thresholds on a grid of window fractions, so estimates land on them
+    trigger = draw(st.integers(1, 2 * window - 1))
+    rearm = draw(st.integers(trigger + 1, 2 * window))
+    real_actions = [kind for kind in ActionKind if kind is not ActionKind.NO_ACTION]
+    policy = tuple(draw(st.lists(st.sampled_from(real_actions), min_size=1, max_size=4)))
+    stage_filter = draw(st.one_of(st.none(), st.integers(1, 4)))  # stage 4 never occurs
+    config = MonitorConfig(
+        window, min_samples, trigger / (2 * window), rearm / (2 * window), policy, stage_filter
+    )
+    length = draw(st.integers(0, 80))
+    rate = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]))
+    flips = draw(st.lists(st.floats(0, 1), min_size=length, max_size=length))
+    stages = draw(st.lists(st.integers(1, 3), min_size=length, max_size=length))
+    steps = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))  # ties
+    events = []
+    stamp = 0
+    for index, (flip, stage, step) in enumerate(zip(flips, stages, steps)):
+        stamp += step
+        # long runs of one outcome cross the thresholds often
+        success = flip < rate if index % 20 < 10 else flip >= rate
+        events.append(StageEvent(index, stage, 1, success, stamp))
+    return events, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(monitor_cases())
+def test_columnar_trace_equals_event_by_event_trace(case):
+    events, config = case
+    expected = reference_trace(events, config)
+    trace = monitor_columns(EventColumns.from_events(events), config)
+    assert trace.entries() == expected
+    assert replay(events, config) == expected
+    rows = [TRACE_CSV_HEADER] + [trace_entry_csv_row(entry) for entry in expected]
+    assert trace.csv() == "\n".join(rows) + "\n"
+
+
+def test_columnar_monitor_rejects_the_first_decrease_like_observe():
+    events = [StageEvent(0, 1, 1, True, ts) for ts in (4, 4, 7, 5, 2)]
+    with pytest.raises(OutOfOrderError) as expected:
+        reference_trace(events, MonitorConfig())
+    with pytest.raises(OutOfOrderError) as got:
+        replay(events, MonitorConfig())
+    assert str(got.value) == str(expected.value) == "timestamp 5 arrived after 7"
+
+
+# ---------------------------------------------------------------------------
+# whole-stream parser against the per-line parser
+# ---------------------------------------------------------------------------
+
+CANONICAL = '{{"trial": {}, "stage": {}, "attempt": {}, "success": {}, "ts": {}}}'
+BIG = st.integers(0, 10**18 - 1)  # every canonical integer has at most 18 digits
+
+
+def canonical_line(draw):
+    """A line in event_to_json's exact format; stage or attempt may be 0."""
+    values = [draw(BIG), draw(st.integers(0, 5)), draw(st.integers(0, 5))]
+    return CANONICAL.format(*values, draw(st.sampled_from(["true", "false"])), draw(BIG))
+
+
+def valid_line(draw):
+    """A valid line that is not canonical: key order, spacing, extra keys, -0, big ints."""
+    payload = {
+        "trial": draw(st.integers(0, 3)),
+        "stage": draw(st.integers(1, 3)),
+        "attempt": draw(st.integers(1, 3)),
+        "success": draw(st.booleans()),
+        "ts": draw(st.sampled_from([0, 1, 2**63, 10**18, 10**19])),
+    }
+    style = draw(st.sampled_from(["reorder", "compact", "extra", "minus-zero", "spaces"]))
+    if style == "reorder":
+        return json.dumps(dict(reversed(list(payload.items()))))
+    if style == "compact":
+        return json.dumps(payload, separators=(",", ":"))
+    if style == "extra":
+        return json.dumps({**payload, "note": "x"})
+    if style == "minus-zero":
+        return json.dumps({**payload, "ts": 0}).replace('"ts": 0', '"ts": -0')
+    return "  " + json.dumps(payload) + "\t"
+
+
+MALFORMED = [
+    "garbage",
+    "{",
+    '{"trial": 0, "stage": 1, "attempt": 1, "success": true}',
+    '{"trial": 0, "stage": 1.0, "attempt": 1, "success": true, "ts": 0}',
+    '{"trial": 0, "stage": 1, "attempt": 1, "success": 1, "ts": 0}',
+    '{"trial": 0, "stage": 1, "attempt": 1, "success": true, "ts": -3}',
+    '{"trial": 01, "stage": 1, "attempt": 1, "success": true, "ts": 0}',
+]
+BLANK = ["", " ", "\t", "  \t ", "\x0c", "\u3000"]
+
+
+@st.composite
+def event_streams(draw):
+    canonical_only = draw(st.booleans())
+    kinds = ["canonical", "blank"] if canonical_only else ["canonical", "blank", "valid", "bad"]
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "canonical":
+            lines.append(canonical_line(draw))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(BLANK)))
+        elif kind == "valid":
+            lines.append(valid_line(draw))
+        else:
+            lines.append(draw(st.sampled_from(MALFORMED)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def column_lists(columns):
+    return [column.tolist() for column in (
+        columns.trial, columns.stage, columns.attempt, columns.success, columns.ts
+    )]
+
+
+@settings(max_examples=400, deadline=None)
+@given(event_streams())
+def test_stream_parser_agrees_with_the_per_line_parser(text):
+    try:
+        expected = column_lists(EventColumns.from_events(read_events_jsonl(text.split("\n"))))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_event_columns(text)
+        assert str(got.value) == str(exc)
+        return
+    assert column_lists(parse_event_columns(text)) == expected
+
+
+def test_canonical_stream_takes_the_fast_path(monkeypatch):
+    events = synthesize_drift_stream([(0.5, 40)], seed=3)
+    text = "".join(event_to_json(event) + "\n" for event in events) + "\n  \n"
+
+    def per_line(lines):
+        raise AssertionError("the per-line parser ran")
+
+    monkeypatch.setattr(calibrate, "read_events_jsonl", per_line)
+    columns = parse_event_columns(text)
+    assert columns.ts.dtype == np.int64
+    assert column_lists(columns) == column_lists(EventColumns.from_events(events))
+
+
+def test_stream_parser_reports_canonical_range_violations_per_line():
+    good = CANONICAL.format(0, 1, 1, "true", 0)
+    for bad, message in [
+        (CANONICAL.format(0, 0, 1, "true", 1), "line 3: stage must be >= 1, got 0"),
+        (CANONICAL.format(0, 1, 0, "true", 1), "line 3: attempt must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as got:
+            parse_event_columns("\n".join([good, "", bad, good]))
+        assert str(got.value) == message
+
+
+def test_stream_parser_keeps_timestamps_beyond_int64():
+    text = CANONICAL.format(0, 1, 1, "true", 2**63) + "\n"
+    columns = parse_event_columns(text)
+    assert columns.ts.tolist() == [2**63]
+    assert parse_event_columns(CANONICAL.format(0, 1, 1, "true", 10**18 - 1)).ts.tolist() == [
+        10**18 - 1
+    ]
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**80), st.integers(0, 2**80), st.integers(0, 2**80),
+    st.booleans(), st.integers(0, 2**80),
+)
+def test_event_to_json_matches_json_dumps(trial, stage, attempt, success, stamp):
+    event = StageEvent(trial, stage + 1, attempt + 1, success, stamp)
+    assert event_to_json(event) == json.dumps({
+        "trial": trial, "stage": stage + 1, "attempt": attempt + 1,
+        "success": success, "ts": stamp,
+    })

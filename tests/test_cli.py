@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -299,6 +300,24 @@ def test_tail_handles_insufficient_tail(tmp_path, capsys):
     assert "no fit" in err
 
 
+def test_tail_prints_the_prefactor_corrected_slope(tmp_path, capsys):
+    out_path = tmp_path / "tail.csv"
+    code, _, err = run_cli(
+        capsys,
+        "tail", "--delta", "0.2", "--trials", "100000", "--seed", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    sidecar = json.loads((tmp_path / "tail.csv.meta.json").read_text())
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    kept = [int(k) for k, prob in rows if float(prob) > sidecar["floor_prob"]]
+    fitted, printed, theoretical = map(float, re.fullmatch(
+        r"tail: fitted slope (\S+), prefactor-corrected (\S+), theoretical (\S+)\n", err
+    ).groups())
+    assert (fitted, theoretical) == (round(sidecar["fitted_slope"], 6), round(math.log1p(-0.2), 6))
+    reference = prefactor_corrected_slope(sidecar["fitted_slope"], kept, 0.2)
+    assert printed == pytest.approx(reference, abs=1e-6)
+
+
 @pytest.mark.parametrize("delta", [0.5, 0.9])
 def test_tail_fit_matches_asymptotic_rate(tmp_path, capsys, delta):
     """The exported fit, with the four-stage polynomial factor divided out over
@@ -396,6 +415,107 @@ def test_monitor_rejects_inverted_thresholds(tmp_path, capsys):
 def test_monitor_missing_input_file(capsys):
     code, _, _ = run_cli(capsys, "monitor", "--input", "/no/such/file.jsonl")
     assert code == 3
+
+
+EVENT = '{{"trial": 0, "stage": {}, "attempt": {}, "success": true, "ts": {}}}'
+
+
+def monitor_file(tmp_path, capsys, text):
+    path = tmp_path / "events.jsonl"
+    path.write_text(text)
+    return run_cli(capsys, "monitor", "--input", str(path))
+
+
+def test_monitor_malformed_line_wins_over_earlier_disorder(tmp_path, capsys):
+    text = "\n".join([EVENT.format(1, 1, 9), EVENT.format(1, 1, 3), "garbage"]) + "\n"
+    code, out, err = monitor_file(tmp_path, capsys, text)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: line 3: invalid JSON")
+
+
+def test_monitor_line_numbers_count_blank_lines(tmp_path, capsys):
+    text = "\n".join(["", EVENT.format(1, 1, 0), "  ", "", "{", EVENT.format(1, 1, 1)])
+    code, _, err = monitor_file(tmp_path, capsys, text)
+    assert code == 5
+    assert err.startswith("error: line 5: invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (EVENT.format(0, 1, 1), "line 2: stage must be >= 1, got 0"),
+        (EVENT.format(1, 0, 1), "line 2: attempt must be >= 1, got 0"),
+        (EVENT.format(1, 1, -4), "line 2: timestamp must be >= 0, got -4"),
+    ],
+)
+def test_monitor_canonical_range_violations(tmp_path, capsys, bad, message):
+    code, _, err = monitor_file(tmp_path, capsys, EVENT.format(1, 1, 0) + "\n" + bad + "\n")
+    assert (code, err) == (5, f"error: {message}\n")
+
+
+def test_monitor_accepts_valid_non_canonical_lines(tmp_path, capsys):
+    canonical = [EVENT.format(1, attempt, attempt) for attempt in range(1, 5)]
+    variants = [
+        '{"ts": 1, "success": true, "attempt": 1, "stage": 1, "trial": 0}',
+        '{"trial": 0, "stage": 1, "attempt": 2, "success": true, "ts": 2, "note": "x"}',
+        '  {"trial":0,"stage" : 1,  "attempt":3,"success":true,"ts":3}\t',
+        '{"trial": -0, "stage": 1, "attempt": 4, "success": true, "ts": 4}',
+    ]
+    window = ["--window", "2", "--min-samples", "1"]
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join(variants) + "\n")
+    got = run_cli(capsys, "monitor", "--input", str(path), *window)
+    path.write_text("\n".join(canonical) + "\n")
+    expected = run_cli(capsys, "monitor", "--input", str(path), *window)
+    assert got == expected
+    assert got[0] == 0 and got[1].splitlines()[1] == "1,1.000000,HighPerformance,NoAction"
+
+
+def test_monitor_echoes_timestamps_beyond_int64(tmp_path, capsys):
+    stamps = [2**63 - 1, 2**63, 10**30]
+    text = "".join(EVENT.format(1, 1, stamp) + "\n" for stamp in stamps)
+    code, out, _ = monitor_file(tmp_path, capsys, text)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [str(s) for s in stamps]
+
+
+def posix_stdin(data: bytes):
+    """What sys.stdin is on POSIX: UTF-8 text with no newline translation."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
+def monitor_both_sources(tmp_path, capsys, monkeypatch, data: bytes):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(data)
+    from_file = run_cli(capsys, "monitor", "--input", str(path))
+    monkeypatch.setattr("sys.stdin", posix_stdin(data))
+    from_stdin = run_cli(capsys, "monitor", "--input", "-")
+    assert from_file == from_stdin
+    return from_file
+
+
+def test_monitor_rejects_input_that_does_not_decode(tmp_path, capsys, monkeypatch):
+    code, out, err = monitor_both_sources(tmp_path, capsys, monkeypatch, b"\xff\xfe{}\n")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ")
+
+
+def test_monitor_reads_a_file_and_stdin_alike(tmp_path, capsys, monkeypatch):
+    lines = [EVENT.format(1, 1, stamp).encode() for stamp in range(3)]
+    lf = monitor_both_sources(tmp_path, capsys, monkeypatch, b"\n".join(lines) + b"\n")
+    assert lf[0] == 0 and len(lf[1].splitlines()) == 4
+    assert monitor_both_sources(tmp_path, capsys, monkeypatch, b"\r\n".join(lines) + b"\r\n") == lf
+    assert monitor_both_sources(tmp_path, capsys, monkeypatch, b"\r".join(lines)) == lf
+
+    # a form feed is no line break: two objects on one line
+    form_feed = lines[0] + b"\x0c" + lines[1]
+    code, _, err = monitor_both_sources(tmp_path, capsys, monkeypatch, form_feed)
+    assert (code, err) == (5, "error: line 1: invalid JSON: Extra data\n")
+
+    # U+2028 inside a JSON string stays in its line
+    note = '{"trial": 0, "stage": 1, "attempt": 1, "success": true, "ts": 0, "note": "a\u2028b"}'
+    code, out, _ = monitor_both_sources(tmp_path, capsys, monkeypatch, note.encode() + b"\n")
+    assert code == 0 and out.splitlines()[1:] == ["0,,,NoAction"]
 
 
 # ---------------------------------------------------------------------------

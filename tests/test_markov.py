@@ -125,8 +125,7 @@ def test_truncated_series_matches_fundamental_matrix(delta):
     reason="the geometric envelope alpha*radius^K understates the transient "
     "tail (the four-stage survival carries a cubic prefactor), so at "
     "delta=0.9 the envelope-derived truncation depth K=10 leaves a "
-    "residual of ~1.4e-6, above the 1e-6 target. The same prefactor "
-    "blindness shows up in tail_bound and the timeout rule.",
+    "residual of ~1.4e-6, above the 1e-6 target.",
 )
 def test_truncated_series_at_high_delta():
     assert truncated_series_residual(0.9) < 1e-6

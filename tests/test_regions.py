@@ -1,6 +1,7 @@
 """Operating regions and timeout budgeting."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,15 @@ def test_recommended_timeout_values():
     assert recommended_timeout(0.9, 1e-6) == 12
     assert recommended_timeout(1.0, 1e-6) == 4  # immediate convergence
     assert recommended_timeout(0.9, 0.5) == 4  # never below the stage count
+
+
+def test_recommended_timeout_with_many_stages():
+    """500 stages put C(k, j) past the float range; the budget is still exact."""
+    def survival(k):
+        return sum(math.comb(k, j) * Fraction(1, 2) ** k for j in range(500))
+
+    budget = recommended_timeout(0.5, 1e-6, stages=500)
+    assert survival(budget) <= Fraction(1e-6) < survival(budget - 1)
 
 
 def test_recommended_timeout_monotonicity():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from conftest import DELTAS
+from conftest import prefactor_corrected_slope as reference_corrected_slope
 from convlab.errors import EmptyInputError, InsufficientDataError, InsufficientTailError
 from convlab.simulate import SimConfig, TrialBatch, run_batch
 from convlab.stats import (
@@ -25,6 +26,7 @@ from convlab.stats import (
     negbin_pmf,
     negbin_quantile,
     negbin_survival,
+    prefactor_corrected_slope,
     summarize,
     tail_decay_fit,
 )
@@ -286,6 +288,34 @@ def test_negbin_quantile_deep_tail(q, stages, delta, expected):
             return sum(math.comb(k, j) * d**j * (1 - d) ** (k - j) for j in range(stages))
 
         assert survival(expected) <= tail < survival(expected - 1)
+
+
+def test_negbin_law_survives_coefficients_past_the_float_range():
+    """C(1100, j) passes 1.8e308 near j = 500, where a float product overflows."""
+    exact = exact_survival(1100, 500, 0.5)
+    assert abs(Fraction(negbin_survival(1100, 500, 0.5)) - exact) <= Fraction(1e-12) * exact
+    assert abs(Fraction(negbin_cdf(1100, 500, 0.5)) - (1 - exact)) <= Fraction(1e-13)
+    pmf = math.comb(1099, 499) * Fraction(1, 2) ** 1100
+    assert abs(Fraction(negbin_pmf(1100, 500, 0.5)) - pmf) <= Fraction(1e-12) * pmf
+
+
+@pytest.mark.parametrize(
+    ("delta", "stages"), [(0.05, 4), (0.1, 4), (0.5, 4), (0.9, 4), (0.3, 2), (0.3, 6)]
+)
+def test_prefactor_corrected_slope_matches_the_reference(delta, stages):
+    last = negbin_quantile(1.0 - 1e-6, stages, delta)
+    ks = list(range(stages, last, max(1, (last - stages) // 40)))
+    for fitted in (math.log1p(-delta) / 2, -0.05):
+        got = prefactor_corrected_slope(fitted, ks, delta, stages)
+        assert got == pytest.approx(reference_corrected_slope(fitted, ks, delta, stages), abs=1e-9)
+
+
+def test_prefactor_corrected_slope_of_the_exact_law_is_its_rate():
+    ks = list(range(10, 200))
+    exact_slope, _ = np.polyfit(ks, np.log([negbin_survival(k, 4, 0.1) for k in ks]), 1)
+    corrected = prefactor_corrected_slope(exact_slope, ks, 0.1)
+    assert corrected == pytest.approx(math.log1p(-0.1), abs=1e-12)
+    assert prefactor_corrected_slope(-0.3, ks, 0.1, stages=1) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_negbin_quantile_validation():
