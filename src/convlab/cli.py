@@ -7,8 +7,10 @@ Subcommand catalog:
   monitor       drift monitor over a JSON-lines event stream (file or stdin)
   distribution  iteration-count histogram and percentiles for one delta
 
-Exit codes: 0 success, 2 invalid flags, 3 I/O failure, 4 resource budget
-exceeded, 5 malformed event line, 6 out-of-order event stream.
+Exit codes: 0 success, 2 invalid flags (including a delta too small for the
+exact chain to absorb, and a sweep with fewer than 2 trials per delta), 3 I/O
+failure, 4 resource budget exceeded, 5 malformed event line, 6 out-of-order
+event stream.
 
 Every command is deterministic for a fixed flag set: reports are written
 atomically (temp file then rename) and contain no wall-clock fields unless
@@ -24,13 +26,18 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from pathlib import Path
 
 from ._io import write_text_atomic
 from .calibrate import MonitorConfig, monitor_columns, parse_event_columns
-from .errors import InsufficientTailError, OutOfOrderError, ResourceLimitError
+from .errors import (
+    InsufficientDataError,
+    InsufficientTailError,
+    NotAbsorbingError,
+    OutOfOrderError,
+    ResourceLimitError,
+)
 from .markov import (
     PipelineSpec,
     analyze,
@@ -57,7 +64,7 @@ from .calibrate import read_events_jsonl, replay, trace_entry_csv_row  # noqa: F
 from .simulate import run_batch, run_sweep  # noqa: F401
 from .stats import ccdf, nearest_rank_percentile, summarize  # noqa: F401
 
-__all__ = ["ReportRow", "main", "parse_deltas"]
+__all__ = ["main", "parse_deltas"]
 
 DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
@@ -73,28 +80,6 @@ EXIT_OUT_OF_ORDER = 6
 
 class UsageError(Exception):
     """Semantically invalid flag values; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One sweep report line."""
-
-    delta: float
-    theory: float
-    mean: float
-    std: float
-    conservative_factor: float
-    p99: float
-    success_rate_percent: float
-    efficiency: float
-    ci_width_99: float
-    runtime_seconds: float
-    throughput: float
-    region: str
-
-
-REPORT_COLUMNS = [field.name for field in fields(ReportRow)]
-VOLATILE_COLUMNS = {"runtime_seconds", "throughput"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,47 +198,34 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_report_rows(histograms) -> list[ReportRow]:
-    rows = []
-    for histogram in histograms:
-        summary = summarize_histogram(histogram)
-        config = histogram.config
-        rows.append(
-            ReportRow(
-                delta=config.delta,
-                theory=config.stages / config.delta,
-                mean=summary.mean,
-                std=summary.std,
-                conservative_factor=summary.conservative_factor,
-                p99=summary.p99,
-                success_rate_percent=summary.success_rate * 100.0,
-                efficiency=summary.efficiency,
-                ci_width_99=summary.ci_width_99,
-                runtime_seconds=histogram.runtime_seconds,
-                throughput=histogram.throughput_trials_per_second,
-                region=classify(config.delta).value,
-            )
-        )
-    return rows
+def _report_row(histogram, include_volatile: bool) -> dict[str, float | str]:
+    """One sweep report row, its columns in report order."""
+    summary = summarize_histogram(histogram)
+    config = histogram.config
+    row: dict[str, float | str] = {
+        "delta": config.delta,
+        "theory": config.stages / config.delta,
+        "mean": summary.mean,
+        "std": summary.std,
+        "conservative_factor": summary.conservative_factor,
+        "p99": summary.p99,
+        "success_rate_percent": summary.success_rate * 100.0,
+        "efficiency": summary.efficiency,
+        "ci_width_99": summary.ci_width_99,
+    }
+    if include_volatile:
+        row["runtime_seconds"] = histogram.runtime_seconds
+        row["throughput"] = histogram.throughput_trials_per_second
+    row["region"] = classify(config.delta).value
+    return row
 
 
-def _report_text(rows: list[ReportRow], fmt: str, include_volatile: bool) -> str:
-    columns = [
-        name
-        for name in REPORT_COLUMNS
-        if include_volatile or name not in VOLATILE_COLUMNS
-    ]
+def _report_text(rows: list[dict[str, float | str]], fmt: str) -> str:
     if fmt == "json":
-        payload = [
-            {name: getattr(row, name) for name in columns} for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(columns)]
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(rows[0])]
     for row in rows:
-        cells = []
-        for name in columns:
-            value = getattr(row, name)
-            cells.append(value if name == "region" else f"{value:.6f}")
+        cells = (v if isinstance(v, str) else f"{v:.6f}" for v in row.values())
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -266,8 +238,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     histograms = [run_histogram(config) for config in configs]
-    rows = _build_report_rows(histograms)
-    _emit(_report_text(rows, args.format, args.resource_metrics), args.out)
+    rows = [_report_row(h, args.resource_metrics) for h in histograms]
+    _emit(_report_text(rows, args.format), args.out)
 
     total_trials = sum(h.config.trials for h in histograms)
     total_runtime = sum(h.runtime_seconds for h in histograms)
@@ -465,7 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except UsageError as exc:
+    # flag values the analysis cannot use: a delta too small for the chain to
+    # absorb (exact), or too few trials for a summary (sweep)
+    except (UsageError, NotAbsorbingError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

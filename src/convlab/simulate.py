@@ -2,15 +2,16 @@
 
 A trial is one pipeline run: each stage retries until it succeeds, so the
 per-stage iteration count is geometric on {1, 2, ...} and the trial total is
-their sum. A batch is generated in a handful of array operations: draw a
-(trials x stages) uniform block, invert the geometric CDF, row-sum.
+their sum.
 
-Two paths share that recipe. `run_batch` is the per-trial reference: it keeps
-every sojourn in one block. `run_histogram` is the fast path behind the CLI:
-it draws CHUNK_ROWS rows at a time into one reused buffer and keeps only the
-histogram of totals, so its memory does not grow with the trial count.
-Consecutive Philox draws equal one big draw, so both paths see the same
-totals bit for bit.
+One kernel draws every batch: `_sojourn_chunks` fills a reused
+(CHUNK_ROWS x stages) uniform buffer from the batch's Philox stream, inverts
+the geometric CDF in place and yields the chunk's sojourns. Two folds consume
+it. `run_batch`, the per-trial reference, copies each chunk into its sojourn
+matrix and row-sums the matrix once. `run_histogram`, the fast path behind
+the CLI, row-sums each chunk and keeps only the histogram of totals, so its
+memory does not grow with the trial count. Consecutive Philox draws equal
+one big draw, so both see the same totals bit for bit.
 
 Sampling uses inversion, k = ceil(ln(u) / ln(1 - delta)) with u in (0, 1),
 which reproduces the geometric law exactly rather than simulating repeated
@@ -55,7 +56,7 @@ __all__ = [
 
 DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
-CHUNK_ROWS = 2**16            # trials drawn per chunk by run_histogram
+CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -233,52 +234,40 @@ def sample_geometric(delta: float, uniform_draw: float) -> int:
     return max(1, count)
 
 
-def _generate_sojourns(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    shape = (config.trials, config.stages)
-    if config.delta == 1.0:
-        return np.ones(shape, dtype=np.int64)
-    draws = rng.random(shape)
-    np.subtract(1.0, draws, out=draws)     # map [0, 1) to (0, 1]
-    np.log(draws, out=draws)
-    draws /= np.log1p(-config.delta)
-    sojourns = np.ceil(draws).astype(np.int64)
-    np.maximum(sojourns, 1, out=sojourns)  # guard the u == 1.0 edge
-    return sojourns
+def _sojourn_chunks(config: SimConfig, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield the batch's (rows, stages) sojourns CHUNK_ROWS trials at a time.
 
-
-def _chunk_totals(config: SimConfig, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield the batch's totals CHUNK_ROWS trials at a time, in trial order.
-
-    Each chunk applies _generate_sojourns' operations to the next rows of the
-    same Philox stream. The yielded array is a buffer reused by the next chunk.
+    Chunks come in trial order and hold the rows one (trials x stages) draw
+    would give, since consecutive Philox draws equal one big draw. Each yielded
+    array is a buffer that the next chunk overwrites.
     """
     rows_max = min(CHUNK_ROWS, config.trials)
-    starts = range(0, config.trials, rows_max)
-    totals = np.empty(rows_max, dtype=np.int64)
+    sojourns = np.ones((rows_max, config.stages), dtype=np.int64)
     if config.delta == 1.0:  # every sojourn is 1; nothing to draw
-        totals.fill(config.stages)
-        for start in starts:
-            yield totals[: min(rows_max, config.trials - start)]
-        return
-    draws = np.empty((rows_max, config.stages))
-    sojourns = np.empty((rows_max, config.stages), dtype=np.int64)
-    scale = np.log1p(-config.delta)
-    for start in starts:
-        rows = min(rows_max, config.trials - start)
-        block = draws[:rows]
-        rng.random(out=block)
-        np.subtract(1.0, block, out=block)
-        np.log(block, out=block)
-        block /= scale
-        np.ceil(block, out=block)
-        counts = sojourns[:rows]
-        np.copyto(counts, block, casting="unsafe")
-        np.maximum(counts, 1, out=counts)
-        chunk = totals[:rows]
-        np.copyto(chunk, counts[:, 0])
-        for stage in range(1, config.stages):  # column adds beat sum(axis=1)
-            chunk += counts[:, stage]
+        draws = None
+    else:
+        draws = np.empty(sojourns.shape)
+        scale = np.log1p(-config.delta)
+    for start in range(0, config.trials, rows_max):
+        chunk = sojourns[: config.trials - start]
+        if draws is not None:
+            block = draws[: len(chunk)]
+            rng.random(out=block)
+            np.subtract(1.0, block, out=block)  # map [0, 1) to (0, 1]
+            np.log(block, out=block)
+            block /= scale
+            np.ceil(block, out=block)
+            np.copyto(chunk, block, casting="unsafe")
+            np.maximum(chunk, 1, out=chunk)     # guard the u == 1.0 edge
         yield chunk
+
+
+def _row_sums(sojourns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the row sums of a (rows, stages) matrix into `out`; return it."""
+    np.copyto(out, sojourns[:, 0])
+    for stage in range(1, sojourns.shape[1]):  # column adds beat sum(axis=1)
+        out += sojourns[:, stage]
+    return out
 
 
 def _check_budget(config: SimConfig, max_cells: int) -> None:
@@ -311,8 +300,11 @@ def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialB
     rng = generator(config.seed)
 
     def generate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sojourns = _generate_sojourns(config, rng)
-        totals = sojourns.sum(axis=1)
+        sojourns = np.empty((config.trials, config.stages), dtype=np.int64)
+        starts = range(0, config.trials, CHUNK_ROWS)
+        for start, chunk in zip(starts, _sojourn_chunks(config, rng)):
+            sojourns[start : start + len(chunk)] = chunk
+        totals = _row_sums(sojourns, np.empty(config.trials, dtype=np.int64))
         return sojourns, totals, totals <= config.success_cutoff
 
     (sojourns, totals, flags), runtime, peak = _measured(generate)
@@ -340,8 +332,9 @@ def run_histogram(
 
     def accumulate() -> tuple[np.ndarray, np.ndarray]:
         counter = _TotalsCounter()
-        for chunk in _chunk_totals(config, rng):
-            counter.add(chunk)
+        totals = np.empty(min(CHUNK_ROWS, config.trials), dtype=np.int64)
+        for chunk in _sojourn_chunks(config, rng):
+            counter.add(_row_sums(chunk, totals[: len(chunk)]))
         return counter.result()
 
     (values, counts), runtime, peak = _measured(accumulate)

@@ -5,11 +5,12 @@ their counts, see simulate.TotalsHistogram); a per-trial array is first
 counted with simulate.count_totals.
 
 Percentiles are nearest-rank: the p-th percentile of n sorted values is the
-element at 1-based rank ceil(p/100 * n). Standard deviation and variance use
-the n-1 denominator; skewness and excess kurtosis use bias-uncorrected
-central moments and are 0 by convention when the variance is 0. All moments
-come from exact integer power sums, so the mean and the variance are the
-correctly rounded values of the exact rationals.
+element at 1-based rank ceil(p/100 * n), computed exactly on the decimal
+form of p (so p = 7 of 100 values is rank 7, not 8). Standard deviation and
+variance use the n-1 denominator; skewness and excess kurtosis use
+bias-uncorrected central moments and are 0 by convention when the variance
+is 0. All moments come from exact integer power sums, so the mean and the
+variance are the correctly rounded values of the exact rationals.
 
 The analytic reference for trial totals is the negative binomial law for
 `stages` successes at probability delta, pmf
@@ -86,10 +87,15 @@ def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
     arr = np.sort(np.asarray(values))
     if arr.size == 0:
         raise EmptyInputError("percentile of an empty sample is undefined")
+    return float(arr[_nearest_rank(percentile, arr.size) - 1])
+
+
+def _nearest_rank(percentile: float, n: int) -> int:
+    """The 1-based rank ceil(p/100 * n), exact on the decimal repr of p."""
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    rank = math.ceil(percentile / 100.0 * arr.size)
-    return float(arr[max(rank, 1) - 1])
+    # in floating point, 7 / 100.0 * 100 is 7.000000000000001: rank 8, not 7
+    return math.ceil(Fraction(repr(float(percentile))) * n / 100)
 
 
 def _cumulative_counts(counts: np.ndarray, what: str) -> tuple[np.ndarray, int]:
@@ -105,11 +111,7 @@ def histogram_percentiles(
 ) -> list[float]:
     """Nearest-rank percentiles of the sample that `counts` of `values` make up."""
     cumulative, n = _cumulative_counts(counts, "percentile")
-    ranks = []
-    for percentile in percentiles:
-        if not 0.0 < percentile <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-        ranks.append(max(math.ceil(percentile / 100.0 * n), 1))
+    ranks = [_nearest_rank(percentile, n) for percentile in percentiles]
     # the rank-r element is the first value whose cumulative count reaches r
     return [float(value) for value in values[np.searchsorted(cumulative, ranks)]]
 

@@ -100,6 +100,15 @@ def test_exact_rejects_invalid_delta(capsys):
     assert run_cli(capsys, "exact")[0] == 2  # --delta is required
 
 
+@pytest.mark.parametrize("delta", ["1e-15", "1e-300"])
+def test_exact_delta_too_small_to_absorb_is_usage_error(capsys, delta):
+    code, out, err = run_cli(capsys, "exact", "--delta", delta)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot reach any absorbing state" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -240,6 +249,16 @@ def test_sweep_rejects_bad_env_seed(capsys, monkeypatch):
 )
 def test_sweep_usage_errors(capsys, args):
     assert run_cli(capsys, *args)[0] == 2
+
+
+@pytest.mark.parametrize("out", ["-", "report.csv"])
+def test_sweep_with_one_trial_is_usage_error(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "sweep", "--trials", "1", "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: summary needs >= 2 trials, got 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_io_error_leaves_no_file(tmp_path, capsys):

@@ -10,8 +10,10 @@ from conftest import DELTAS, geometric_chi_square
 from convlab.errors import ResourceLimitError
 from convlab.rng import child_seed, generator
 from convlab.simulate import (
+    CHUNK_ROWS,
     SimConfig,
     TrialBatch,
+    _sojourn_chunks,
     export_batch_csv,
     run_batch,
     run_histogram,
@@ -63,6 +65,39 @@ def test_vectorized_sampler_agrees_with_scalar():
         [[sample_geometric(0.3, float(1.0 - draw)) for draw in row] for row in draws]
     )
     assert np.array_equal(batch.sojourns, expected)
+
+
+@pytest.mark.parametrize("stages", [1, 4, 6])
+@pytest.mark.parametrize("delta", [1.0, 0.3, 1e-9])
+def test_chunked_sojourns_equal_one_inverted_draw(delta, stages):
+    """Over three chunks, the last one partial, run_batch and run_histogram
+    see the sojourns that inverting one (trials x stages) draw gives."""
+    trials = 2 * CHUNK_ROWS + 3
+    config = SimConfig(delta=delta, stages=stages, trials=trials, seed=5)
+    if delta == 1.0:
+        expected = np.ones((trials, stages), dtype=np.int64)
+    else:
+        draws = generator(5).random((trials, stages))
+        expected = np.ceil(np.log(1.0 - draws) / np.log1p(-delta)).astype(np.int64)
+        expected = np.maximum(expected, 1)
+    assert np.array_equal(run_batch(config).sojourns, expected)
+    values, counts = np.unique(expected.sum(axis=1), return_counts=True)
+    histogram = run_histogram(config)
+    assert np.array_equal(histogram.values, values)
+    assert np.array_equal(histogram.counts, counts)
+
+
+def test_zero_draw_inverts_to_one_iteration():
+    """A uniform of exactly 0.0 (probability 2**-53 per draw) maps to 1 - u =
+    1.0, whose inversion is ceil(-0.0) = 0; the kernel lifts it to 1."""
+
+    class ZeroDraws:
+        def random(self, out):
+            out.fill(0.0)
+
+    config = SimConfig(delta=0.3, stages=2, trials=3)
+    chunks = [chunk.copy() for chunk in _sojourn_chunks(config, ZeroDraws())]
+    assert np.array_equal(np.concatenate(chunks), np.ones((3, 2), dtype=np.int64))
 
 
 def test_degenerate_delta_one():

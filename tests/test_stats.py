@@ -20,6 +20,7 @@ from convlab.stats import (
     ccdf,
     ci_width_99,
     conservative_factor,
+    histogram_percentiles,
     iteration_efficiency,
     nearest_rank_percentile,
     negbin_cdf,
@@ -117,6 +118,27 @@ def test_nearest_rank_percentile():
     assert nearest_rank_percentile(values, 100) == 9.0
     assert nearest_rank_percentile(np.arange(1, 101), 1) == 1.0
     assert nearest_rank_percentile(np.arange(1, 101), 50) == 50.0
+
+
+def test_nearest_rank_is_the_exact_integer_rank():
+    """ceil(p * n / 100) in integers; in floating point, 290 pairs with
+    integer p <= 100 and n <= 2000 land one rank high (p = 7, n = 100)."""
+    assert nearest_rank_percentile(np.arange(1, 101), 7) == 7.0
+    percentiles = range(1, 101)
+    for n in [*range(1, 301), 700, 1400, 2000]:
+        sample = np.arange(1, n + 1)
+        expected = [float(-(-p * n // 100)) for p in percentiles]
+        assert [nearest_rank_percentile(sample, p) for p in percentiles] == expected
+        ones = np.ones(n, dtype=np.int64)
+        assert histogram_percentiles(sample, ones, percentiles) == expected
+
+
+@pytest.mark.parametrize("n", [10, 1000, 12345])
+def test_nearest_rank_reads_a_decimal_percentile_exactly(n):
+    sample = np.arange(1, n + 1)
+    # 99.9 / 100.0 * 1000 is 999.0000000000001 in floating point
+    assert nearest_rank_percentile(sample, 99.9) == float(-(-999 * n // 1000))
+    assert nearest_rank_percentile(sample, 0.5) == float(-(-5 * n // 1000))
 
 
 def test_nearest_rank_percentile_validation():
