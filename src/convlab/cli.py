@@ -7,10 +7,11 @@ Subcommand catalog:
   monitor       drift monitor over a JSON-lines event stream (file or stdin)
   distribution  iteration-count histogram and percentiles for one delta
 
-Exit codes: 0 success, 2 invalid flags (including a delta too small for the
-exact chain to absorb, and a sweep with fewer than 2 trials per delta), 3 I/O
-failure, 4 resource budget exceeded, 5 malformed event line, 6 out-of-order
-event stream.
+Exit codes: 0 success, 2 invalid flags (including an exact delta below about
+stages * 5.6e-309, where the expected step counts overflow a double, and a
+sweep with fewer than 2 trials per delta), 3 I/O failure, 4 resource budget
+exceeded or out of memory, 5 malformed event line, 6 out-of-order event
+stream.
 
 Every command is deterministic for a fixed flag set: reports are written
 atomically (temp file then rename) and contain no wall-clock fields unless
@@ -34,9 +35,9 @@ from .calibrate import MonitorConfig, monitor_columns, parse_event_columns
 from .errors import (
     InsufficientDataError,
     InsufficientTailError,
-    NotAbsorbingError,
     OutOfOrderError,
     ResourceLimitError,
+    SingularMatrixError,
 )
 from .markov import (
     PipelineSpec,
@@ -437,11 +438,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    # flag values the analysis cannot use: a delta too small for the chain to
-    # absorb (exact), or too few trials for a summary (sweep)
-    except (UsageError, NotAbsorbingError, InsufficientDataError) as exc:
+    # flag values the analysis cannot use: a delta so small that the expected
+    # step counts overflow (exact), or too few trials for a summary (sweep)
+    except (UsageError, SingularMatrixError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

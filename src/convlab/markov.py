@@ -9,6 +9,10 @@ The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
 t = N 1 and absorption probabilities B = N R. The worst-start runtime tail
 P(still running after k steps) is exactly ||Q^k||_inf (tail_bound).
+
+I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
+Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
+every delta > 0 whose expected step counts fit in a double.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOLERANCE = 1e-12
-EDGE_FLOOR = 1e-15          # entries above this count as edges for reachability
 CONDITION_LIMIT = 1e12
 
 
@@ -176,7 +179,7 @@ def decompose(matrix: StochasticMatrix) -> CanonicalDecomposition:
     # reverse reachability: walk incoming edges starting from the absorbing set
     reached = set(absorbing)
     frontier = list(absorbing)
-    incoming = matrix.entries.T > EDGE_FLOOR
+    incoming = matrix.entries.T > 0.0
     while frontier:
         state = frontier.pop()
         for src in np.where(incoming[state])[0]:
@@ -204,25 +207,18 @@ def decompose(matrix: StochasticMatrix) -> CanonicalDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _is_triangular(matrix: np.ndarray) -> bool:
-    lower = np.tril(matrix, k=-1)
-    upper = np.triu(matrix, k=1)
-    return not lower.any() or not upper.any()
-
-
 def spectral_radius(transient_block: np.ndarray) -> float:
-    """Largest absolute eigenvalue of the transient block.
+    """Largest absolute eigenvalue of the transient block, from the eigensolver.
 
-    Triangular blocks (the pipeline chain is upper-bidiagonal) read the
-    answer off the diagonal; anything else goes to the dense eigensolver.
+    LAPACK returns a triangular block's diagonal exactly while its largest
+    entry lies in [6.7e-139, 1.5e138]. The pipeline block stores fl(1 - delta),
+    so its radius (like tail_bound) reads 1.0 for delta <= 2**-54 (5.6e-17).
     """
     matrix = np.asarray(transient_block, dtype=float)
     if matrix.size == 0:
         return 0.0
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
-    if _is_triangular(matrix):
-        return float(np.max(np.abs(np.diag(matrix))))
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
@@ -232,26 +228,28 @@ def spectral_radius(transient_block: np.ndarray) -> float:
 
 
 def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
-    """Solve for the fundamental matrix and everything derived from it.
+    """Invert (I - Q) once and derive everything from the fundamental matrix.
 
-    Raises SingularMatrixError when the condition estimate of (I - Q)
-    exceeds 1e12, and ValueError when there are no transient states.
+    Raises SingularMatrixError when (I - Q) is singular or its 1-norm condition
+    number is not below 1e12, and ValueError when there are no transient states.
     """
-    count = len(decomposition.transient_order)
-    if count < 1:
+    if not decomposition.transient_order:
         raise ValueError("decomposition has no transient states to analyze")
     transient = decomposition.transient_block
-    identity = np.eye(count)
-    system = identity - transient
+    # GTH diagonal: the exit mass of each state, not the cancelling 1 - Q[i, i]
+    off_diagonal = transient - np.diag(np.diag(transient))
+    exit_mass = off_diagonal.sum(axis=1) + decomposition.absorbing_block.sum(axis=1)
+    system = np.diag(exit_mass) - off_diagonal
     try:
-        condition = np.linalg.cond(system, 1)
+        fundamental = np.linalg.inv(system)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("analysis system is exactly singular") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        condition = np.linalg.norm(system, 1) * np.linalg.norm(fundamental, 1)
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise SingularMatrixError(
-            f"analysis system condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"analysis system condition number {condition:.3e} is not below {CONDITION_LIMIT:.0e}"
         )
-    fundamental = np.linalg.solve(system, identity)
     expected_steps = fundamental.sum(axis=1)
     absorption_probs = fundamental @ decomposition.absorbing_block
     radius = spectral_radius(transient)

@@ -265,16 +265,26 @@ def _check_negbin_args(stages: int, delta: float) -> None:
 
 
 def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
-    """comb * delta**successes * (1-delta)**failures, evaluated left to right.
+    """comb * delta**successes * (1-delta)**failures, keeping delta's low bits.
 
-    A binomial coefficient past the float range (about 1.8e308) makes the
-    float product overflow; that term is then computed as an exact rational
-    and rounded once.
+    1 - delta is rarely a float: with stay = fl(1 - delta) the remainder
+    t = (1 - stay) - delta is exact and 1 - delta = stay + t, so the power is
+    stay**failures * exp(failures * log1p(t / stay)). A binomial coefficient
+    past the float range (about 1.8e308) makes the float product overflow;
+    that term keeps comb * delta**successes as an exact rational and combines
+    it with failures * log1p(-delta) in logs.
     """
+    stay = 1.0 - delta
+    t = (1.0 - stay) - delta
     try:
-        return comb * delta**successes * (1.0 - delta) ** failures
+        power = stay**failures
+        if t:
+            power *= math.exp(failures * math.log1p(t / stay))
+        return comb * delta**successes * power
     except OverflowError:
-        return float(comb * Fraction(delta) ** successes * Fraction(1.0 - delta) ** failures)
+        head = comb * Fraction(delta) ** successes
+        log_head = math.log(head.numerator) - math.log(head.denominator)
+        return math.exp(log_head + failures * math.log1p(-delta))
 
 
 def negbin_pmf(k: int, stages: int, delta: float) -> float:

@@ -4,7 +4,9 @@ Both fixtures are deterministic (fixed base seed 42, batch seeds split per
 index) so every statistical assertion in the suite is repeatable bit for bit.
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,6 +37,14 @@ def million_totals():
         )
         totals[delta] = run_batch(config).totals
     return totals
+
+
+def decimal_survival(k, stages, delta):
+    """P(total > k) to 50 significant digits on the float delta."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        d = Decimal(delta)
+        return sum(math.comb(k, j) * d**j * (1 - d) ** (k - j) for j in range(min(stages, k + 1)))
 
 
 def geometric_chi_square(column, delta, bins=20):

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from conftest import prefactor_corrected_slope
+from convlab import cli
 from convlab.calibrate import synthesize_drift_stream, write_events_jsonl
 from convlab.cli import main, parse_deltas
 
@@ -100,13 +101,41 @@ def test_exact_rejects_invalid_delta(capsys):
     assert run_cli(capsys, "exact")[0] == 2  # --delta is required
 
 
-@pytest.mark.parametrize("delta", ["1e-15", "1e-300"])
+@pytest.mark.parametrize("delta", ["1e-308", "5e-324"])
 def test_exact_delta_too_small_to_absorb_is_usage_error(capsys, delta):
     code, out, err = run_cli(capsys, "exact", "--delta", delta)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "cannot reach any absorbing state" in err
+    assert "condition number" in err
+
+
+def test_exact_keeps_the_low_bits_of_a_tiny_delta(capsys):
+    # 1 - fl(1 - 1.5e-15) is 8.4% off delta: a diagonal of 1 - Q[i, i] reads 6.43e14
+    # for the last stage
+    code, out, _ = run_cli(capsys, "exact", "--delta", "1.5e-15", "--json")
+    assert code == 0
+    assert json.loads(out)["expected_steps"][0] == 2666666666666667.0
+
+
+@pytest.mark.parametrize("delta", ["1e-15", "1e-300"])
+def test_exact_answers_down_to_tiny_deltas(capsys, delta):
+    code, out, _ = run_cli(capsys, "exact", "--delta", delta, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["expected_total"] == 4 / float(delta)
+    assert payload["expected_steps"][0] == pytest.approx(4 / float(delta), rel=2e-15)
+
+
+def test_exact_out_of_memory_exits_4(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "build_pipeline_chain", exhausted)
+    code, out, err = run_cli(capsys, "exact", "--delta", "0.5", "--stages", "100000")
+    assert code == 4
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convlab.errors import NotAbsorbingError, SingularMatrixError
 from convlab.markov import (
@@ -41,6 +43,19 @@ def test_expected_total_matches_closed_form(delta, stages):
     assert analysis.expected_steps[0] == pytest.approx(closed, rel=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    stages=st.integers(min_value=1, max_value=8),
+    exponent=st.floats(min_value=-307, max_value=0),
+)
+def test_expected_steps_hold_down_to_the_smallest_deltas(stages, exponent):
+    """The exit-mass diagonal of I - Q is delta itself, not 1 - fl(1 - delta)."""
+    delta = 10.0**exponent
+    analysis = pipeline_analysis(delta, stages)
+    for i, steps in enumerate(analysis.expected_steps):
+        assert steps == pytest.approx((stages - i) / delta, rel=2e-15)
+
+
 def test_expected_steps_vector_half():
     # starting deeper in the pipeline shortens the remaining work linearly
     analysis = pipeline_analysis(0.5)
@@ -68,6 +83,30 @@ def test_failure_counting_convention():
 def test_pipeline_spectral_radius_exact(delta):
     decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
     assert spectral_radius(decomposition.transient_block) == 1.0 - delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=8),
+    lower=st.booleans(),
+    data=st.data(),
+)
+def test_triangular_spectral_radius_is_the_largest_diagonal_entry(size, lower, data):
+    """The eigensolver returns a triangular block's diagonal exactly, as long as
+    the largest entry lies in [6.7e-139, 1.5e138]; outside it LAPACK's dgeev
+    rescales the matrix, which can move an eigenvalue by an ulp."""
+    values = data.draw(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6),
+            min_size=size * size,
+            max_size=size * size,
+        )
+    )
+    matrix = np.triu(np.array(values).reshape(size, size))
+    if lower:
+        matrix = matrix.T
+    assume(np.abs(matrix).max() >= 6.7e-139)
+    assert spectral_radius(matrix) == np.max(np.abs(np.diag(matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +296,26 @@ def test_analyze_rejects_numerically_closed_loop():
     decomposition = decompose(StochasticMatrix(entries, frozenset({2})))
     with pytest.raises(SingularMatrixError):
         analyze(decomposition)
+
+
+def test_analyze_rejects_exactly_singular_system():
+    # a transient state that keeps all its mass has no exit: I - Q is singular
+    decomposition = CanonicalDecomposition(np.array([[1.0]]), np.array([[0.0]]), (0,), (1,))
+    with pytest.raises(SingularMatrixError):
+        analyze(decomposition)
+
+
+@pytest.mark.parametrize("delta", [1e-308, 5e-324])
+def test_analyze_rejects_step_counts_past_the_float_range(delta):
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        analyze(decomposition)
+
+
+def test_decompose_counts_every_positive_entry_as_an_edge():
+    delta = 5e-324  # the smallest subnormal still reaches the absorbing state
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta, stages=2)))
+    assert decomposition.transient_order == (0, 1)
 
 
 def test_analysis_records_norm_choice():

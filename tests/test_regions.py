@@ -1,10 +1,12 @@
 """Operating regions and timeout budgeting."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from conftest import decimal_survival
 from convlab.regions import (
     DEFAULT_THRESHOLDS,
     RegionLabel,
@@ -82,6 +84,22 @@ def test_recommended_timeout_with_many_stages():
 
     budget = recommended_timeout(0.5, 1e-6, stages=500)
     assert survival(budget) <= Fraction(1e-6) < survival(budget - 1)
+
+
+@pytest.mark.parametrize(
+    ("delta", "stages", "expected"),
+    [
+        # fl(1 - delta)**k gives 21370171740337470
+        (1e-15, 4, 21350456963272126),
+        # an exact rational power of 1 - delta takes over 20 s here
+        (1e-6, 50, 91063368),
+    ],
+)
+def test_recommended_timeout_for_tiny_delta_matches_decimal_reference(delta, stages, expected):
+    assert recommended_timeout(delta, 1e-6, stages=stages) == expected
+    tail = Decimal(1e-6)
+    assert decimal_survival(expected, stages, delta) <= tail
+    assert tail < decimal_survival(expected - 1, stages, delta)
 
 
 def test_recommended_timeout_monotonicity():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from conftest import DELTAS
+from conftest import DELTAS, decimal_survival
 from conftest import prefactor_corrected_slope as reference_corrected_slope
 from convlab.errors import EmptyInputError, InsufficientDataError, InsufficientTailError
 from convlab.simulate import SimConfig, TrialBatch, run_batch
@@ -310,6 +310,44 @@ def test_negbin_quantile_deep_tail(q, stages, delta, expected):
             return sum(math.comb(k, j) * d**j * (1 - d) ** (k - j) for j in range(stages))
 
         assert survival(expected) <= tail < survival(expected - 1)
+
+
+def assert_close_to_decimal(value, exact, rel=Decimal("1e-12")):
+    assert abs(Decimal(value) - exact) <= rel * exact
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_negbin_law_keeps_the_low_bits_of_delta(delta):
+    """fl(1 - delta)**k raises the rounding of 1 - delta to the power k: at
+    k = 4/delta it is 1.2e-10 off at delta = 1e-6 and 3.2e-3 off at 1e-15."""
+    k = int(4 / delta)
+    assert_close_to_decimal(negbin_survival(k, 4, delta), decimal_survival(k, 4, delta))
+    with decimal.localcontext() as context:
+        context.prec = 50
+        d = Decimal(delta)
+        pmf = math.comb(k - 1, 3) * d**4 * (1 - d) ** (k - 4)
+    assert_close_to_decimal(negbin_pmf(k, 4, delta), pmf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stages=st.integers(min_value=1, max_value=8),
+    exponent=st.floats(min_value=-17, max_value=0),
+    scale=st.floats(min_value=0.2, max_value=8.0),
+)
+def test_negbin_survival_matches_decimal_reference(stages, exponent, scale):
+    delta = 10.0**exponent
+    k = max(stages, int(scale * stages / delta))
+    exact = decimal_survival(k, stages, delta)
+    if exact >= Decimal("1e-290"):
+        assert_close_to_decimal(negbin_survival(k, stages, delta), exact)
+
+
+def test_negbin_survival_with_many_stages_and_a_long_horizon():
+    """C(6e7, j) passes the float range, and an exact rational power of
+    1 - delta takes over 30 s here: the fallback works in logs."""
+    exact = decimal_survival(60_000_000, 50, 1e-6)
+    assert_close_to_decimal(negbin_survival(60_000_000, 50, 1e-6), exact)
 
 
 def test_negbin_law_survives_coefficients_past_the_float_range():
