@@ -7,7 +7,11 @@ on live runs: identical delta and trial count, independent seeds, then a
 two-sample mean comparison and a variance ratio.
 
 Each trial draws from its own stream derived from (seed, trial index), so
-any single trace can be reproduced without replaying its predecessors.
+any single trace can be reproduced without replaying its predecessors:
+trial i of a cross-validation run is run_to_absorption(oracle, max_steps,
+seed=child_seed(stepwise_seed, i)). The cross-validation loop takes those
+streams from rng.trial_generators, which derives their keys in bulk, instead
+of building each one with generator(child_seed(...)).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from ._io import write_text_atomic
 from .calibrate import StageEvent
 from .errors import TerminalStateError
-from .rng import child_seed, generator
+from .rng import child_seed, generator, trial_generators
 from .simulate import SimConfig, run_batch
 
 __all__ = [
@@ -117,12 +121,16 @@ def step(
     return state
 
 
+def _check_max_steps(max_steps: int) -> None:
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+
+
 def run_to_absorption(
     oracle: StageOracle, max_steps: int = 1000, seed: int = 0
 ) -> TraceRecord:
     """Walk one trial until VERIFIED or max_steps attempts."""
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_max_steps(max_steps)
     rng = generator(seed)
     state = PipelineState.CODE_GEN
     states = [state]
@@ -167,8 +175,7 @@ def _stepwise_totals(
     oracle = BernoulliOracle(delta)
     totals = np.empty(trials, dtype=np.int64)
     converged = True
-    for index in range(trials):
-        rng = generator(child_seed(seed, index))
+    for index, rng in enumerate(trial_generators(seed, trials)):
         state = PipelineState.CODE_GEN
         steps = 0
         while state is not PipelineState.VERIFIED and steps < max_steps:
@@ -189,6 +196,7 @@ def cross_validate(
     """
     if trials < 1000:
         raise ValueError(f"cross validation needs >= 1000 trials, got {trials}")
+    _check_max_steps(max_steps)
     stepwise_seed = child_seed(seed, 0)
     vectorized_seed = child_seed(seed, 1)
 

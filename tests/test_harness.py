@@ -3,13 +3,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometric_chi_square
+from convlab import harness
 from convlab.calibrate import MonitorConfig, replay
 from convlab.errors import TerminalStateError
 from convlab.harness import (
     BernoulliOracle,
     ConstantOracle,
+    CrossValidationReport,
     PipelineState,
     cross_validate,
     run_to_absorption,
@@ -17,7 +21,7 @@ from convlab.harness import (
     trace_events,
     write_traces_jsonl,
 )
-from convlab.rng import generator
+from convlab.rng import SEED_MODULUS, child_seed, generator
 
 # chi-square critical value at 0.999 for 15 degrees of freedom
 CHI_CRIT_999_DOF15 = 37.69729822451265
@@ -143,6 +147,61 @@ def test_cross_validate_degenerate_delta():
 def test_cross_validate_requires_enough_trials():
     with pytest.raises(ValueError):
         cross_validate(0.5, trials=999, seed=0)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_cross_validate_rejects_max_steps_below_one_before_any_work(max_steps, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("cross_validate started work on an invalid max_steps")
+
+    monkeypatch.setattr(harness, "_stepwise_totals", no_work)
+    monkeypatch.setattr(harness, "run_batch", no_work)
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        cross_validate(0.5, trials=1000, seed=1, max_steps=max_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    trials=st.integers(1, 50),
+    seed=st.integers(0, SEED_MODULUS - 1),
+    max_steps=st.integers(1, 120),
+)
+def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
+    totals, all_converged = harness._stepwise_totals(delta, trials, seed, max_steps)
+    traces = [
+        run_to_absorption(BernoulliOracle(delta), max_steps, seed=child_seed(seed, index))
+        for index in range(trials)
+    ]
+    assert totals.tolist() == [trace.total_iterations for trace in traces]
+    assert all_converged == all(trace.converged for trace in traces)
+
+
+# cross_validate(delta, 10_000, child_seed(42, i)) for the i-th of 0.1/0.5/0.9,
+# as computed by the one-stream-per-trial loop before trial_generators existed.
+PINNED_REPORTS = [
+    CrossValidationReport(
+        0.1, 10000, 39.7459, 355.3202652165216, 40.0177, 348.90167687768775,
+        -0.27179999999999893, 0.2653718037196509, -1.0242233582854154,
+        1.0183965534252333, True,
+    ),
+    CrossValidationReport(
+        0.5, 10000, 7.9829, 7.922799869986998, 8.0188, 7.9648430443044305,
+        -0.03590000000000071, 0.03985930620857747, -0.9006679597517745,
+        0.994721405797507, True,
+    ),
+    CrossValidationReport(
+        0.9, 10000, 4.4414, 0.492615301530153, 4.4394, 0.49517715771577164,
+        0.0019999999999997797, 0.009938774870404926, 0.20123204580830753,
+        0.9948263845662099, True,
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_cross_validate_reports_are_pinned(index):
+    pinned = PINNED_REPORTS[index]
+    assert cross_validate(pinned.delta, 10_000, child_seed(42, index)) == pinned
 
 
 # ---------------------------------------------------------------------------
