@@ -14,8 +14,9 @@ exceeded or out of memory, 5 malformed event line, 6 out-of-order event
 stream.
 
 Every command is deterministic for a fixed flag set: reports are written
-atomically (temp file then rename) and contain no wall-clock fields unless
---resource-metrics opts them in. The seed comes from --seed, then the
+atomically (temp file then rename) and contain no wall-clock fields. Time and
+memory go to stderr only: sweep prints the wall time, rate and peak traced
+memory of generating all its histograms. The seed comes from --seed, then the
 CONVLAB_SEED environment variable, then the built-in default.
 """
 
@@ -49,7 +50,7 @@ from .markov import (
 )
 from .regions import classify
 from .rng import validate_seed
-from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, run_histogram, sweep_configs
+from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, _measured, run_histogram, sweep_configs
 from .stats import (
     histogram_ccdf,
     histogram_mean,
@@ -60,7 +61,8 @@ from .stats import (
 )
 
 # The CLI no longer calls these; they stay importable here because the
-# benchmark's tracer wraps them at this import site (perfbench/layers.py).
+# benchmark's tracer wraps them at this import site (perfbench/layers.py), and
+# its test looks run_sweep up on this module with no default.
 from .calibrate import read_events_jsonl, replay, trace_entry_csv_row  # noqa: F401
 from .simulate import run_batch, run_sweep  # noqa: F401
 from .stats import ccdf, nearest_rank_percentile, summarize  # noqa: F401
@@ -199,11 +201,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_row(histogram, include_volatile: bool) -> dict[str, float | str]:
+def _report_row(histogram) -> dict[str, float | str]:
     """One sweep report row, its columns in report order."""
     summary = summarize_histogram(histogram)
     config = histogram.config
-    row: dict[str, float | str] = {
+    return {
         "delta": config.delta,
         "theory": config.stages / config.delta,
         "mean": summary.mean,
@@ -213,12 +215,8 @@ def _report_row(histogram, include_volatile: bool) -> dict[str, float | str]:
         "success_rate_percent": summary.success_rate * 100.0,
         "efficiency": summary.efficiency,
         "ci_width_99": summary.ci_width_99,
+        "region": classify(config.delta).value,
     }
-    if include_volatile:
-        row["runtime_seconds"] = histogram.runtime_seconds
-        row["throughput"] = histogram.throughput_trials_per_second
-    row["region"] = classify(config.delta).value
-    return row
 
 
 def _report_text(rows: list[dict[str, float | str]], fmt: str) -> str:
@@ -238,16 +236,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    histograms = [run_histogram(config) for config in configs]
-    rows = [_report_row(h, args.resource_metrics) for h in histograms]
-    _emit(_report_text(rows, args.format), args.out)
+    histograms, runtime, peak = _measured(
+        lambda: [run_histogram(config) for config in configs]
+    )
+    _emit(_report_text([_report_row(h) for h in histograms], args.format), args.out)
 
-    total_trials = sum(h.config.trials for h in histograms)
-    total_runtime = sum(h.runtime_seconds for h in histograms)
-    peak = max(h.peak_memory_bytes for h in histograms)
+    trials = sum(config.trials for config in configs)
     _info(
-        f"sweep: {total_trials} trials over {len(histograms)} deltas in "
-        f"{total_runtime:.4f}s ({total_trials / total_runtime:.0f} trials/s), "
+        f"sweep: {trials} trials over {len(configs)} deltas generated in "
+        f"{runtime:.4f}s ({trials / runtime:.0f} trials/s), "
         f"peak memory {peak} bytes"
     )
     return EXIT_OK
@@ -397,11 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cutoff", type=int, default=DEFAULT_SUCCESS_CUTOFF)
     sweep.add_argument("--out", default="-")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument(
-        "--resource-metrics",
-        action="store_true",
-        help="include wall-clock columns (breaks byte-identical re-runs)",
-    )
     sweep.set_defaults(handler=cmd_sweep)
 
     tail = sub.add_parser("tail", help="CCDF export and decay fit")

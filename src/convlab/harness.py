@@ -28,7 +28,7 @@ import numpy as np
 from ._io import write_text_atomic
 from .calibrate import StageEvent
 from .errors import TerminalStateError
-from .rng import child_seed, generator, trial_generators
+from .rng import _validate_count, child_seed, generator, trial_generators
 from .simulate import SimConfig, run_batch
 
 __all__ = [
@@ -124,6 +124,7 @@ def step(
 def _check_max_steps(max_steps: int) -> None:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _validate_count("max_steps", max_steps)
 
 
 def run_to_absorption(
@@ -196,6 +197,7 @@ def cross_validate(
     """
     if trials < 1000:
         raise ValueError(f"cross validation needs >= 1000 trials, got {trials}")
+    trials = _validate_count("trials", trials)
     _check_max_steps(max_steps)
     stepwise_seed = child_seed(seed, 0)
     vectorized_seed = child_seed(seed, 1)

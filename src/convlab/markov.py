@@ -8,7 +8,8 @@ too so results can be cross-checked against brute-force series summation.
 The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
 t = N 1 and absorption probabilities B = N R. The worst-start runtime tail
-P(still running after k steps) is exactly ||Q^k||_inf (tail_bound).
+P(still running after k steps) is ||Q^k||_inf of the stored block
+(tail_bound); stats.negbin_survival is the pipeline's exact tail.
 
 I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
 Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAbsorbingError, SingularMatrixError
+from .rng import _validate_count
 
 __all__ = [
     "PipelineSpec",
@@ -58,6 +60,7 @@ class PipelineSpec:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
+        object.__setattr__(self, "stages", _validate_count("stages", self.stages))
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,14 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
 
 
 def tail_bound(decomposition: CanonicalDecomposition, k: int) -> float:
-    """Worst-start P(not yet absorbed after k steps): ||Q^k||_inf, clamped to 1."""
+    """Worst-start P(not yet absorbed after k steps): ||Q^k||_inf, clamped to 1.
+
+    Repeated squaring of the stored fl(1 - delta) block: on the four-stage
+    pipeline, up to k = 80/delta, it is within 2.4e-9 relative of the exact
+    stats.negbin_survival for delta >= 1e-6, but 2e-6 high at 1e-9, 7e-6 low
+    at 1e-11, and 0.3750 for an exact 0.4335 at 1.5e-15, k = 2666666666666667.
+    For the pipeline's tail at tiny delta use stats.negbin_survival.
+    """
     if k < 0:
         raise ValueError(f"step count must be non-negative, got {k}")
     power = np.linalg.matrix_power(decomposition.transient_block, k)

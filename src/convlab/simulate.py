@@ -35,7 +35,7 @@ import numpy as np
 
 from ._io import write_text_atomic
 from .errors import ResourceLimitError
-from .rng import child_seed, generator, validate_seed
+from .rng import _validate_count, child_seed, generator, validate_seed
 
 __all__ = [
     "DEFAULT_SUCCESS_CUTOFF",
@@ -76,8 +76,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        # range checks keep their messages; _validate_count then refuses floats
+        # and bools, which would fail inside numpy, and turns numpy ints to int
         if self.stages < 1:
             raise ValueError(f"stages must be >= 1, got {self.stages}")
+        object.__setattr__(self, "stages", _validate_count("stages", self.stages))
         if self.delta < 1.0:
             # the longest sojourn inversion can draw, at u = 2**-53
             longest = 53 * math.log(2) / -math.log1p(-self.delta)
@@ -88,16 +91,24 @@ class SimConfig:
                 )
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        validate_seed(self.seed)
+        object.__setattr__(self, "trials", _validate_count("trials", self.trials))
+        object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.success_cutoff < self.stages:
             raise ValueError(
                 f"success_cutoff must be >= stages, got {self.success_cutoff}"
             )
+        cutoff = _validate_count("success_cutoff", self.success_cutoff)
+        object.__setattr__(self, "success_cutoff", cutoff)
 
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Immutable results of one batch plus its resource metrics."""
+    """Immutable results of one batch plus its resource metrics.
+
+    The metrics stay on the reference path only: the benchmark's tracer
+    (perfbench/layers.py) reads them from traced runs, and acceptance
+    criterion 10 checks them over the reference campaign.
+    """
 
     sojourns: np.ndarray            # (trials, stages) int64, iterations per stage
     totals: np.ndarray              # (trials,) int64 row sums
@@ -136,16 +147,13 @@ class TotalsHistogram:
     """Distinct trial totals of one config and how often each occurred.
 
     `values` and `counts` are exactly `np.unique(totals, return_counts=True)`
-    of the totals `run_batch` draws for the same config. The resource metrics
-    cover generation plus histogram accumulation.
+    of the totals `run_batch` draws for the same config. It is plain data: a
+    caller that wants time or memory measures the span it reports.
     """
 
     config: SimConfig
     values: np.ndarray              # (distinct,) int64, increasing
     counts: np.ndarray              # (distinct,) int64, positive, sum = trials
-    runtime_seconds: float
-    throughput_trials_per_second: float
-    peak_memory_bytes: int
 
     def __post_init__(self) -> None:
         for arr in (self.values, self.counts):
@@ -153,16 +161,9 @@ class TotalsHistogram:
 
     @classmethod
     def from_batch(cls, batch: TrialBatch) -> "TotalsHistogram":
-        """The histogram of a reference batch, carrying its resource metrics."""
+        """The histogram of a reference batch."""
         values, counts = count_totals(batch.totals)
-        return cls(
-            config=batch.config,
-            values=values,
-            counts=counts,
-            runtime_seconds=batch.runtime_seconds,
-            throughput_trials_per_second=batch.throughput_trials_per_second,
-            peak_memory_bytes=batch.peak_memory_bytes,
-        )
+        return cls(batch.config, values, counts)
 
     @property
     def success_rate(self) -> float:
@@ -279,18 +280,21 @@ def _check_budget(config: SimConfig, max_cells: int) -> None:
 
 
 def _measured(work: Callable[[], T]) -> tuple[T, float, int]:
-    """Run `work`; return its result, wall seconds and peak traced bytes."""
+    """Run `work`; return its result, wall seconds and peak traced bytes.
+    Tracing is left as it was found, also when `work` raises."""
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
     else:
         tracemalloc.start()
-    start = time.perf_counter()
-    result = work()
-    runtime = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    if not was_tracing:
-        tracemalloc.stop()
+    try:
+        start = time.perf_counter()
+        result = work()
+        runtime = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
     return result, max(runtime, 1e-9), int(peak)
 
 
@@ -328,24 +332,11 @@ def run_histogram(
     by the chunk (plus 8 bytes per trial whose total reaches DENSE_LIMIT).
     """
     _check_budget(config, max_cells)
-    rng = generator(config.seed)
-
-    def accumulate() -> tuple[np.ndarray, np.ndarray]:
-        counter = _TotalsCounter()
-        totals = np.empty(min(CHUNK_ROWS, config.trials), dtype=np.int64)
-        for chunk in _sojourn_chunks(config, rng):
-            counter.add(_row_sums(chunk, totals[: len(chunk)]))
-        return counter.result()
-
-    (values, counts), runtime, peak = _measured(accumulate)
-    return TotalsHistogram(
-        config=config,
-        values=values,
-        counts=counts,
-        runtime_seconds=runtime,
-        throughput_trials_per_second=config.trials / runtime,
-        peak_memory_bytes=peak,
-    )
+    counter = _TotalsCounter()
+    totals = np.empty(min(CHUNK_ROWS, config.trials), dtype=np.int64)
+    for chunk in _sojourn_chunks(config, generator(config.seed)):
+        counter.add(_row_sums(chunk, totals[: len(chunk)]))
+    return TotalsHistogram(config, *counter.result())
 
 
 def sweep_configs(
@@ -407,12 +398,6 @@ def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:
     )
     writer.writerows(rows.tolist())
     write_text_atomic(Path(path), buffer.getvalue())
-    sidecar = {
-        "config": asdict(batch.config),
-        "seed": batch.config.seed,
-        "runtime_seconds": batch.runtime_seconds,
-        "throughput_trials_per_second": batch.throughput_trials_per_second,
-        "peak_memory_bytes": batch.peak_memory_bytes,
-    }
+    sidecar = {"config": asdict(batch.config), "seed": batch.config.seed}
     sidecar_text = json.dumps(sidecar, indent=2) + "\n"
     write_text_atomic(Path(f"{path}.meta.json"), sidecar_text)

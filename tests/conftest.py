@@ -2,10 +2,13 @@
 
 Both fixtures are deterministic (fixed base seed 42, batch seeds split per
 index) so every statistical assertion in the suite is repeatable bit for bit.
+An autouse guard fails any test that leaves tracemalloc on or off other than
+it found it, so a leak is reported where it happens.
 """
 
 import decimal
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -18,6 +21,24 @@ DELTAS = [round(0.1 * i, 1) for i in range(1, 10)]
 CAMPAIGN_SEED = 42
 CAMPAIGN_TRIALS = 10_000
 MILLION_TRIALS = 1_000_000
+
+
+@pytest.fixture(autouse=True)
+def tracing_is_left_as_found():
+    """Fail the test that leaves tracemalloc's on/off state changed.
+
+    A leaked trace slows every later allocation and inflates the peaks that
+    memory tests read, so the failure would otherwise surface in a later,
+    unrelated test.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    yield
+    if tracemalloc.is_tracing() != was_tracing:
+        if was_tracing:
+            tracemalloc.start()
+        else:
+            tracemalloc.stop()
+        pytest.fail(f"test left tracemalloc.is_tracing() = {not was_tracing}")
 
 
 @pytest.fixture(scope="session")

@@ -177,17 +177,22 @@ def test_sweep_output_is_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_resource_metrics_optin(tmp_path, capsys):
-    out_path = tmp_path / "report.csv"
-    code, _, _ = run_cli(
-        capsys,
-        "sweep", "--deltas", "0.5", "--trials", "100", "--seed", "1",
-        "--out", str(out_path), "--resource-metrics",
-    )
+def test_sweep_resource_metrics_flag_is_refused(capsys):
+    """Reports carry no wall-clock columns; the measurement is on stderr only."""
+    args = ("sweep", "--deltas", "0.5,0.7", "--trials", "100", "--seed", "1")
+    code, _, _ = run_cli(capsys, *args, "--resource-metrics")
+    assert code == 2
+    code, out, err = run_cli(capsys, *args)
     assert code == 0
-    header = out_path.read_text().splitlines()[0]
-    assert "runtime_seconds" in header
-    assert "throughput" in header
+    assert "runtime_seconds" not in out and "throughput" not in out
+    measured = re.search(
+        r"sweep: 200 trials over 2 deltas generated in ([0-9.]+)s "
+        r"\((\d+) trials/s\), peak memory (\d+) bytes",
+        err,
+    )
+    assert measured is not None, err
+    assert int(measured[2]) > 0
+    assert int(measured[3]) > 0
 
 
 def test_sweep_json_format(tmp_path, capsys):
@@ -201,7 +206,7 @@ def test_sweep_json_format(tmp_path, capsys):
     rows = json.loads(out_path.read_text())
     assert len(rows) == 1
     assert rows[0]["region"] == "Practical"
-    assert "runtime_seconds" not in rows[0]  # volatile fields stay opt-in
+    assert "runtime_seconds" not in rows[0]  # reports carry no wall-clock fields
     assert rows[0]["theory"] == pytest.approx(8.0)
 
 

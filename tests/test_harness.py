@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +148,41 @@ def test_cross_validate_degenerate_delta():
 def test_cross_validate_requires_enough_trials():
     with pytest.raises(ValueError):
         cross_validate(0.5, trials=999, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 1000.0}, "trials must be an integer, got float"),
+        ({"trials": np.float64(2000.0)}, "trials must be an integer, got float64"),
+        ({"max_steps": 2.5}, "max_steps must be an integer, got float"),
+        ({"max_steps": True}, "max_steps must be an integer, got bool"),
+    ],
+)
+def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("cross_validate started work on an invalid count")
+
+    monkeypatch.setattr(harness, "_stepwise_totals", no_work)
+    monkeypatch.setattr(harness, "run_batch", no_work)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(0.5, **{"trials": 1000, "seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize("max_steps", [2.5, 3.0, True])
+def test_run_to_absorption_max_steps_must_be_an_integer(max_steps):
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        run_to_absorption(BernoulliOracle(0.5), max_steps=max_steps)
+
+
+def test_numpy_integer_counts_run_like_ints():
+    oracle = BernoulliOracle(0.5)
+    assert run_to_absorption(oracle, max_steps=np.int64(7), seed=3) == run_to_absorption(
+        oracle, max_steps=7, seed=3
+    )
+    assert cross_validate(0.5, np.int64(1000), 1, max_steps=np.int32(1000)) == (
+        cross_validate(0.5, 1000, 1)
+    )
 
 
 @pytest.mark.parametrize("max_steps", [0, -1])

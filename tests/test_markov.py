@@ -136,21 +136,43 @@ def test_absorption_probabilities_sum_to_one(seed):
     )
 
 
-def truncated_series_residual(delta):
-    """Truncate the visit-count series at the point where the geometric
-    envelope alpha*radius^K drops below 1e-9; return the worst deviation
-    from the solve-based expected steps."""
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
-    analysis = analyze(decomposition)
+def truncation_depth(decomposition, analysis):
+    """Smallest K with ||Q^(K+1)||_inf * ||N||_inf < 1e-9.
+
+    The series truncated after Q^K misses exactly Q^(K+1) N 1, whose infinity
+    norm that product bounds; tail_constant is ||N||_inf.
+    """
+    depth = 0
+    while tail_bound(decomposition, depth + 1) * analysis.tail_constant >= 1e-9:
+        depth += 1
+    return depth
+
+
+def truncated_series(decomposition, analysis):
+    """Sum of Q^k 1 for k = 0..K, with K from truncation_depth."""
     block = decomposition.transient_block
-    radius = analysis.spectral_radius
-    cutoff = math.ceil(math.log(1e-9 / analysis.tail_constant) / math.log(radius))
     total = np.zeros(block.shape[0])
     term = np.ones(block.shape[0])
-    for _ in range(cutoff + 1):
+    for _ in range(truncation_depth(decomposition, analysis) + 1):
         total += term
         term = block @ term
+    return total
+
+
+def truncated_series_residual(delta):
+    """Worst deviation of the truncated visit-count series from the
+    solve-based expected steps."""
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
+    analysis = analyze(decomposition)
+    total = truncated_series(decomposition, analysis)
     return float(np.max(np.abs(total - analysis.expected_steps)))
+
+
+@pytest.mark.parametrize("delta, depth", [(0.25, 113), (0.6, 35), (0.9, 15)])
+def test_truncation_depth_bounds_the_residual(delta, depth):
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
+    assert truncation_depth(decomposition, analyze(decomposition)) == depth
+    assert truncated_series_residual(delta) < 1e-9
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.6])
@@ -159,13 +181,6 @@ def test_truncated_series_matches_fundamental_matrix(delta):
     assert truncated_series_residual(delta) < 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the geometric envelope alpha*radius^K understates the transient "
-    "tail (the four-stage survival carries a cubic prefactor), so at "
-    "delta=0.9 the envelope-derived truncation depth K=10 leaves a "
-    "residual of ~1.4e-6, above the 1e-6 target.",
-)
 def test_truncated_series_at_high_delta():
     assert truncated_series_residual(0.9) < 1e-6
 
@@ -176,14 +191,7 @@ def test_truncated_series_on_random_chain(seed):
     matrix = random_absorbing_chain(rng, transients=3, absorbings=2)
     decomposition = decompose(matrix)
     analysis = analyze(decomposition)
-    block = decomposition.transient_block
-    radius = spectral_radius(block)
-    cutoff = math.ceil(math.log(1e-9 / analysis.tail_constant) / math.log(radius))
-    total = np.zeros(block.shape[0])
-    term = np.ones(block.shape[0])
-    for _ in range(cutoff + 1):
-        total += term
-        term = block @ term
+    total = truncated_series(decomposition, analysis)
     assert total == pytest.approx(analysis.expected_steps, abs=1e-6)
 
 
@@ -238,6 +246,20 @@ def test_tail_bound_is_the_stage_sum_survival(delta):
             assert math.isclose(tail_bound(decomposition, k), survival, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "delta", [1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0]
+)
+def test_tail_bound_tracks_the_exact_tail_down_to_delta_1e_6(delta):
+    """Repeated squaring of the stored block stays within 1e-8 relative of
+    the exact survival for k up to 80/delta while delta >= 1e-6."""
+    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
+    for multiple in (0.5, 1, 2, 4, 8, 16, 40, 80):
+        k = int(multiple / delta)
+        assert math.isclose(
+            tail_bound(decomposition, k), negbin_survival(k, 4, delta), rel_tol=1e-8
+        )
+
+
 def test_tail_bound_rejects_negative_horizon():
     decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
     with pytest.raises(ValueError):
@@ -256,8 +278,20 @@ def test_pipeline_spec_rejects_bad_delta(delta):
 
 
 def test_pipeline_spec_rejects_bad_stages():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stages must be >= 1, got 0"):
         PipelineSpec(0.5, stages=0)
+
+
+@pytest.mark.parametrize("stages", [4.0, 2.5, True, np.float64(3.0)])
+def test_pipeline_spec_stages_must_be_an_integer(stages):
+    with pytest.raises(ValueError, match="stages must be an integer"):
+        PipelineSpec(0.5, stages=stages)
+
+
+def test_pipeline_spec_takes_numpy_integer_stages():
+    spec = PipelineSpec(0.5, stages=np.int64(3))
+    assert type(spec.stages) is int
+    assert exact_expected_steps_closed_form(spec) == 6.0
 
 
 def test_stochastic_matrix_rejects_bad_rows():

@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import DELTAS, geometric_chi_square
+from convlab import simulate
 from convlab.errors import ResourceLimitError
 from convlab.rng import child_seed, generator
 from convlab.simulate import (
@@ -178,6 +181,61 @@ def test_sim_config_validation(kwargs):
         SimConfig(**base)
 
 
+@pytest.mark.parametrize("name", ["trials", "stages", "success_cutoff"])
+@pytest.mark.parametrize("value", [100.0, 4.0, True, np.float64(100.0)])
+def test_sim_config_counts_must_be_integers(name, value):
+    # True is below the default four stages, so its cutoff fails the range check
+    with pytest.raises(ValueError, match=f"{name} must be "):
+        SimConfig(delta=0.5, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"trials": -3}, "trials must be >= 1, got -3"),
+        ({"stages": -1}, "stages must be >= 1, got -1"),
+        ({"success_cutoff": 3}, "success_cutoff must be >= stages, got 3"),
+    ],
+)
+def test_sim_config_out_of_range_counts_keep_their_messages(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(delta=0.5, **kwargs)
+
+
+def test_sim_config_takes_numpy_integers_as_ints():
+    config = SimConfig(
+        delta=0.5, stages=np.int32(3), trials=np.int64(70), seed=np.uint64(9),
+        success_cutoff=np.uint16(40),
+    )
+    assert asdict(config) == {
+        "delta": 0.5, "stages": 3, "trials": 70, "seed": 9, "success_cutoff": 40,
+    }
+    assert all(type(value) is int for value in list(asdict(config).values())[1:])
+    assert np.array_equal(
+        run_batch(config).totals,
+        run_batch(SimConfig(delta=0.5, stages=3, trials=70, seed=9, success_cutoff=40)).totals,
+    )
+
+
+@pytest.mark.parametrize("run", [run_batch, run_histogram])
+@pytest.mark.parametrize("tracing", [False, True])
+def test_a_raising_kernel_leaves_tracing_as_it_was(run, tracing, monkeypatch):
+    def exhausted(config, rng):
+        raise MemoryError("kernel out of memory")
+        yield  # a generator, like the kernel it stands in for
+
+    monkeypatch.setattr(simulate, "_sojourn_chunks", exhausted)
+    if tracing:
+        tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            run(SimConfig(delta=0.5, trials=100, seed=1))
+        assert tracemalloc.is_tracing() is tracing
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("run", [run_batch, run_histogram])
 @pytest.mark.parametrize("delta", [1e-300, 1e-18, 1.5e-17])
 def test_delta_whose_totals_overflow_int64_is_rejected(run, delta):
@@ -272,6 +330,11 @@ def test_export_batch_csv(tmp_path):
         assert int(cells[5]) == batch.totals[trial]
         assert cells[6] == "1"
     sidecar = json.loads((tmp_path / "batch.csv.meta.json").read_text())
-    assert sidecar["config"]["delta"] == 0.5
-    assert sidecar["seed"] == 1
-    assert sidecar["runtime_seconds"] > 0.0
+    assert sidecar == {"config": asdict(batch.config), "seed": 1}
+    # the sidecar carries no wall-clock field, so a second export is byte-identical
+    again = tmp_path / "again.csv"
+    export_batch_csv(run_batch(batch.config), again)
+    assert again.read_bytes() == out.read_bytes()
+    assert (tmp_path / "again.csv.meta.json").read_bytes() == (
+        tmp_path / "batch.csv.meta.json"
+    ).read_bytes()
