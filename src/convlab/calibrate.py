@@ -33,7 +33,7 @@ import numpy as np
 from ._io import write_text_atomic
 from .errors import OutOfOrderError
 from .regions import RegionLabel, classify
-from .rng import generator
+from .rng import _validate_count, _validate_delta, generator
 
 __all__ = [
     "ActionKind",
@@ -110,9 +110,10 @@ class MonitorConfig:
     stage_filter: int | None = None    # restrict estimation to one stage's events
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if not 1 <= self.min_samples <= self.window_size:
+        window = _validate_count("window_size", self.window_size, 1)
+        object.__setattr__(self, "window_size", window)
+        object.__setattr__(self, "min_samples", _validate_count("min_samples", self.min_samples))
+        if not 1 <= self.min_samples <= window:
             raise ValueError(
                 f"min_samples must be in [1, window_size], got {self.min_samples}"
             )
@@ -126,8 +127,9 @@ class MonitorConfig:
         if any(kind is ActionKind.NO_ACTION for kind in self.action_policy):
             raise ValueError("action_policy entries must be real actions")
         object.__setattr__(self, "action_policy", tuple(self.action_policy))
-        if self.stage_filter is not None and self.stage_filter < 1:
-            raise ValueError(f"stage_filter must be >= 1, got {self.stage_filter}")
+        if self.stage_filter is not None:
+            stage = _validate_count("stage_filter", self.stage_filter, 1)
+            object.__setattr__(self, "stage_filter", stage)
 
 
 def _region(estimate: float | None) -> RegionLabel | None:
@@ -352,16 +354,16 @@ def synthesize_drift_stream(
     """
     if not segments:
         raise ValueError("need at least one (delta, attempts) segment")
+    segments = [
+        (_validate_delta(delta, "segment delta"), _validate_count("segment attempts", attempts, 1))
+        for delta, attempts in segments
+    ]
     rng = generator(seed)
     events: list[StageEvent] = []
     timestamp = 0
     trial = 0
     attempt = 1
     for delta, attempts in segments:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"segment delta must be in (0, 1], got {delta}")
-        if attempts < 1:
-            raise ValueError(f"segment attempts must be >= 1, got {attempts}")
         outcomes = rng.random(attempts) < delta
         for success in outcomes.tolist():
             events.append(

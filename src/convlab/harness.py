@@ -28,7 +28,7 @@ import numpy as np
 from ._io import write_text_atomic
 from .calibrate import StageEvent
 from .errors import TerminalStateError
-from .rng import _validate_count, child_seed, generator, trial_generators
+from .rng import _validate_count, _validate_delta, child_seed, generator, trial_generators
 from .simulate import SimConfig, run_batch
 
 __all__ = [
@@ -82,9 +82,7 @@ class BernoulliOracle:
     """Memoryless oracle: every attempt succeeds with probability delta."""
 
     def __init__(self, delta: float) -> None:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {delta}")
-        self.delta = delta
+        self.delta = _validate_delta(delta)
 
     def attempt(self, stage: int, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.delta)
@@ -121,17 +119,11 @@ def step(
     return state
 
 
-def _check_max_steps(max_steps: int) -> None:
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    _validate_count("max_steps", max_steps)
-
-
 def run_to_absorption(
     oracle: StageOracle, max_steps: int = 1000, seed: int = 0
 ) -> TraceRecord:
     """Walk one trial until VERIFIED or max_steps attempts."""
-    _check_max_steps(max_steps)
+    max_steps = _validate_count("max_steps", max_steps, 1)
     rng = generator(seed)
     state = PipelineState.CODE_GEN
     states = [state]
@@ -195,10 +187,9 @@ def cross_validate(
     Requires trials >= 1000 so the two-sample comparison has power.
     Stepwise and vectorized streams use child seeds 0 and 1 of `seed`.
     """
-    if trials < 1000:
-        raise ValueError(f"cross validation needs >= 1000 trials, got {trials}")
-    trials = _validate_count("trials", trials)
-    _check_max_steps(max_steps)
+    delta = _validate_delta(delta)
+    trials = _validate_count("trials", trials, 1000)
+    max_steps = _validate_count("max_steps", max_steps, 1)
     stepwise_seed = child_seed(seed, 0)
     vectorized_seed = child_seed(seed, 1)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAbsorbingError, SingularMatrixError
-from .rng import _validate_count
+from .rng import _validate_count, _validate_delta
 
 __all__ = [
     "PipelineSpec",
@@ -56,11 +56,8 @@ class PipelineSpec:
     stages: int = 4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
-        object.__setattr__(self, "stages", _validate_count("stages", self.stages))
+        object.__setattr__(self, "delta", _validate_delta(self.delta))
+        object.__setattr__(self, "stages", _validate_count("stages", self.stages, 1))
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,7 @@ def tail_bound(decomposition: CanonicalDecomposition, k: int) -> float:
     at 1e-11, and 0.3750 for an exact 0.4335 at 1.5e-15, k = 2666666666666667.
     For the pipeline's tail at tiny delta use stats.negbin_survival.
     """
-    if k < 0:
-        raise ValueError(f"step count must be non-negative, got {k}")
+    k = _validate_count("step count", k)
     power = np.linalg.matrix_power(decomposition.transient_block, k)
     return min(1.0, float(power.sum(axis=1).max(initial=0.0)))
 

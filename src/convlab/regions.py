@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .rng import _validate_delta
 from .stats import _survival_horizon
 
 __all__ = [
@@ -44,8 +45,7 @@ DEFAULT_THRESHOLDS = RegionThresholds()
 
 def classify(delta: float, thresholds: RegionThresholds = DEFAULT_THRESHOLDS) -> RegionLabel:
     """Region of one success probability; boundaries belong to Practical."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _validate_delta(delta)
     if delta < thresholds.marginal_upper:
         return RegionLabel.MARGINAL
     if delta <= thresholds.practical_upper:
@@ -57,4 +57,4 @@ def recommended_timeout(delta: float, epsilon: float, stages: int = 4) -> int:
     """Smallest k whose exact miss probability stats.negbin_survival(k) is <= epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return _survival_horizon(epsilon, stages, delta)  # negbin_survival checks the rest
+    return _survival_horizon(epsilon, stages, delta)  # which checks stages and delta

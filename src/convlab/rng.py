@@ -21,6 +21,7 @@ reused Philox to each key in turn. A Philox stream is fixed by its key
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterator
 
 import numpy as np
@@ -60,13 +61,28 @@ def validate_seed(seed: int) -> int:
     return int(seed)
 
 
-def _validate_count(name: str, value: int) -> int:
-    """Return ``value`` as an int; ValueError unless it is a non-negative integer."""
+def _validate_count(name: str, value: int, minimum: int = 0) -> int:
+    """Return ``value`` as an int; ValueError unless it is an integer >= ``minimum``.
+
+    The type is checked first, so a bad count never fails inside a comparison.
+    Bools are refused and numpy integers accepted.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if value < minimum:
+        if minimum == 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _validate_delta(delta: float, name: str = "delta") -> float:
+    """Return ``delta`` as a float; ValueError unless it is a real number in (0, 1]."""
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(delta).__name__}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {delta}")
+    return float(delta)
 
 
 def child_seed(base_seed: int, index: int) -> int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._io import write_text_atomic
 from .errors import ResourceLimitError
-from .rng import _validate_count, child_seed, generator, validate_seed
+from .rng import _validate_count, _validate_delta, child_seed, generator, validate_seed
 
 __all__ = [
     "DEFAULT_SUCCESS_CUTOFF",
@@ -74,13 +74,8 @@ class SimConfig:
     success_cutoff: int = DEFAULT_SUCCESS_CUTOFF
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        # range checks keep their messages; _validate_count then refuses floats
-        # and bools, which would fail inside numpy, and turns numpy ints to int
-        if self.stages < 1:
-            raise ValueError(f"stages must be >= 1, got {self.stages}")
-        object.__setattr__(self, "stages", _validate_count("stages", self.stages))
+        object.__setattr__(self, "delta", _validate_delta(self.delta))
+        object.__setattr__(self, "stages", _validate_count("stages", self.stages, 1))
         if self.delta < 1.0:
             # the longest sojourn inversion can draw, at u = 2**-53
             longest = 53 * math.log(2) / -math.log1p(-self.delta)
@@ -89,15 +84,11 @@ class SimConfig:
                     f"delta {self.delta} is too small: {self.stages}-stage "
                     "totals would overflow int64"
                 )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "trials", _validate_count("trials", self.trials))
+        object.__setattr__(self, "trials", _validate_count("trials", self.trials, 1))
         object.__setattr__(self, "seed", validate_seed(self.seed))
-        if self.success_cutoff < self.stages:
-            raise ValueError(
-                f"success_cutoff must be >= stages, got {self.success_cutoff}"
-            )
         cutoff = _validate_count("success_cutoff", self.success_cutoff)
+        if cutoff < self.stages:
+            raise ValueError(f"success_cutoff must be >= stages, got {cutoff}")
         object.__setattr__(self, "success_cutoff", cutoff)
 
 
@@ -224,8 +215,7 @@ def count_totals(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_geometric(delta: float, uniform_draw: float) -> int:
     """Invert one uniform draw into a geometric iteration count on {1, 2, ...}."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _validate_delta(delta)
     if not 0.0 < uniform_draw < 1.0:
         raise ValueError(f"uniform draw must lie in (0, 1), got {uniform_draw}")
     if delta == 1.0:
@@ -271,11 +261,11 @@ def _row_sums(sojourns: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_budget(config: SimConfig, max_cells: int) -> None:
+def _check_budget(config: SimConfig) -> None:
     cells = config.trials * config.stages
-    if cells > max_cells:
+    if cells > DEFAULT_CELL_BUDGET:
         raise ResourceLimitError(
-            f"batch needs {cells} cells, budget is {max_cells}"
+            f"batch needs {cells} cells, budget is {DEFAULT_CELL_BUDGET}"
         )
 
 
@@ -298,9 +288,9 @@ def _measured(work: Callable[[], T]) -> tuple[T, float, int]:
     return result, max(runtime, 1e-9), int(peak)
 
 
-def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialBatch:
+def run_batch(config: SimConfig) -> TrialBatch:
     """Generate one batch; raises ResourceLimitError before allocating past budget."""
-    _check_budget(config, max_cells)
+    _check_budget(config)
     rng = generator(config.seed)
 
     def generate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,15 +313,13 @@ def run_batch(config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET) -> TrialB
     )
 
 
-def run_histogram(
-    config: SimConfig, max_cells: int = DEFAULT_CELL_BUDGET
-) -> TotalsHistogram:
+def run_histogram(config: SimConfig) -> TotalsHistogram:
     """Histogram of one batch's totals, generated in chunks of CHUNK_ROWS trials.
 
     Same totals as run_batch(config), same cell budget, but memory is bounded
     by the chunk (plus 8 bytes per trial whose total reaches DENSE_LIMIT).
     """
-    _check_budget(config, max_cells)
+    _check_budget(config)
     counter = _TotalsCounter()
     totals = np.empty(min(CHUNK_ROWS, config.trials), dtype=np.int64)
     for chunk in _sojourn_chunks(config, generator(config.seed)):
@@ -369,13 +357,12 @@ def run_sweep(
     *,
     stages: int = 4,
     success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
-    max_cells: int = DEFAULT_CELL_BUDGET,
 ) -> list[TrialBatch]:
     """Run one batch per config of sweep_configs(...)."""
     configs = sweep_configs(
         deltas, trials, base_seed, stages=stages, success_cutoff=success_cutoff
     )
-    return [run_batch(config, max_cells=max_cells) for config in configs]
+    return [run_batch(config) for config in configs]
 
 
 def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, InsufficientTailError
+from .rng import _validate_count, _validate_delta
 from .simulate import TotalsHistogram, TrialBatch, count_totals
 
 __all__ = [
@@ -137,8 +138,7 @@ def histogram_mean(values: np.ndarray, counts: np.ndarray) -> float:
 
 def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
     """Theory-to-observation ratio (stages / delta) / mean."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    delta = _validate_delta(delta)
     if mean <= 0.0:
         raise ValueError(f"mean must be positive, got {mean}")
     return (stages / delta) / mean
@@ -155,8 +155,7 @@ def iteration_efficiency(mean: float, stages: int = 4) -> float:
 
 def ci_width_99(std: float, n: int) -> float:
     """Half-width of the 99% normal-approximation interval for the mean."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
+    n = _validate_count("sample size", n, 1)
     if std < 0.0:
         raise ValueError(f"std must be non-negative, got {std}")
     return CI_99_MULTIPLIER * std / math.sqrt(n)
@@ -257,13 +256,6 @@ def prefactor_corrected_slope(
 # ---------------------------------------------------------------------------
 
 
-def _check_negbin_args(stages: int, delta: float) -> None:
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-
-
 def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
     """comb * delta**successes * (1-delta)**failures, keeping delta's low bits.
 
@@ -289,7 +281,7 @@ def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
 
 def negbin_pmf(k: int, stages: int, delta: float) -> float:
     """P(total iterations = k) for the stage-sum law; 0 below k = stages."""
-    _check_negbin_args(stages, delta)
+    stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
     if k < stages:
         return 0.0
     return _comb_term(math.comb(k - 1, stages - 1), delta, stages, k - stages)
@@ -297,7 +289,7 @@ def negbin_pmf(k: int, stages: int, delta: float) -> float:
 
 def negbin_survival(k: int, stages: int, delta: float) -> float:
     """P(total iterations > k) = P(Binomial(k, delta) < stages), summed in `stages` terms."""
-    _check_negbin_args(stages, delta)
+    stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
     if k < stages:
         return 1.0
     return math.fsum(_comb_term(math.comb(k, j), delta, j, k - j) for j in range(stages))
@@ -310,6 +302,7 @@ def negbin_cdf(k: int, stages: int, delta: float) -> float:
 
 def _survival_horizon(tail: float, stages: int, delta: float) -> int:
     """Smallest k with negbin_survival(k) <= tail (0 < tail < 1): double, then bisect."""
+    stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
     below, above = stages - 1, stages  # survival is 1 below stages
     while negbin_survival(above, stages, delta) > tail:
         below, above = above, 2 * above

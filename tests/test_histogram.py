@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+from convlab import simulate
 from convlab.errors import EmptyInputError, InsufficientDataError, ResourceLimitError
 from convlab.simulate import (
     CHUNK_ROWS,
@@ -156,10 +157,12 @@ def test_from_batch_equals_run_histogram():
     assert histogram.success_rate == batch.success_rate
 
 
-def test_histogram_cell_budget_matches_run_batch():
+def test_histogram_cell_budget_matches_run_batch(monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_CELL_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):
-        run_histogram(SimConfig(delta=0.5, trials=300, seed=0), max_cells=1000)
-    run_histogram(SimConfig(delta=0.5, trials=64, seed=0), max_cells=256)
+        run_histogram(SimConfig(delta=0.5, trials=300, seed=0))
+    monkeypatch.setattr(simulate, "DEFAULT_CELL_BUDGET", 256)
+    run_histogram(SimConfig(delta=0.5, trials=64, seed=0))
 
 
 def traced_peak_bytes(config):

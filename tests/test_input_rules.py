@@ -1,0 +1,186 @@
+"""Library input rules: every count and delta goes through rng's validators.
+
+A count must be an integer (numpy integers included, bools refused) and a
+delta a real number in (0, 1]. A bad value raises ValueError naming the
+argument before any work starts. The source check at the end keeps these
+rules in rng.py alone.
+"""
+
+import ast
+import re
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import convlab
+from convlab import calibrate, harness, markov
+from convlab.calibrate import MonitorConfig, synthesize_drift_stream
+from convlab.harness import BernoulliOracle, cross_validate, run_to_absorption
+from convlab.markov import PipelineSpec, build_pipeline_chain, decompose, tail_bound
+from convlab.regions import classify, recommended_timeout
+from convlab.simulate import SimConfig, sample_geometric
+from convlab.stats import (
+    ci_width_99,
+    conservative_factor,
+    negbin_cdf,
+    negbin_pmf,
+    negbin_quantile,
+    negbin_survival,
+)
+
+DECOMPOSITION = decompose(build_pipeline_chain(PipelineSpec(delta=0.5)))
+
+# (id, argument name, call with the count, a valid count, the count's minimum)
+COUNTS = [
+    ("SimConfig.stages", "stages", lambda v: SimConfig(0.5, stages=v), 3, 1),
+    ("SimConfig.trials", "trials", lambda v: SimConfig(0.5, trials=v), 7, 1),
+    ("SimConfig.success_cutoff", "success_cutoff",
+     lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
+    ("PipelineSpec.stages", "stages", lambda v: PipelineSpec(0.5, stages=v), 3, 1),
+    ("tail_bound.k", "step count", lambda v: tail_bound(DECOMPOSITION, v), 5, 0),
+    ("run_to_absorption.max_steps", "max_steps",
+     lambda v: run_to_absorption(BernoulliOracle(0.5), max_steps=v, seed=2), 6, 1),
+    ("cross_validate.trials", "trials", lambda v: cross_validate(0.5, v, 1), 1000, 1000),
+    ("cross_validate.max_steps", "max_steps",
+     lambda v: cross_validate(0.5, 1000, 1, max_steps=v), 30, 1),
+    ("negbin_pmf.stages", "stages", lambda v: negbin_pmf(9, v, 0.5), 3, 1),
+    ("negbin_survival.stages", "stages", lambda v: negbin_survival(9, v, 0.5), 3, 1),
+    ("negbin_cdf.stages", "stages", lambda v: negbin_cdf(9, v, 0.5), 3, 1),
+    ("negbin_quantile.stages", "stages", lambda v: negbin_quantile(0.9, v, 0.5), 3, 1),
+    ("recommended_timeout.stages", "stages",
+     lambda v: recommended_timeout(0.5, 0.01, stages=v), 3, 1),
+    ("ci_width_99.n", "sample size", lambda v: ci_width_99(2.0, v), 16, 1),
+    ("MonitorConfig.window_size", "window_size",
+     lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
+    ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
+    ("MonitorConfig.stage_filter", "stage_filter", lambda v: MonitorConfig(stage_filter=v), 2, 1),
+    ("synthesize_drift_stream.attempts", "segment attempts",
+     lambda v: synthesize_drift_stream([(0.5, 10), (0.2, v)], seed=4), 12, 1),
+]
+
+# (id, argument name, call with the delta)
+DELTAS = [
+    ("SimConfig", "delta", lambda d: SimConfig(d)),
+    ("sample_geometric", "delta", lambda d: sample_geometric(d, 0.5)),
+    ("PipelineSpec", "delta", lambda d: PipelineSpec(d)),
+    ("BernoulliOracle", "delta", lambda d: BernoulliOracle(d)),
+    ("cross_validate", "delta", lambda d: cross_validate(d, 1000, 1)),
+    ("classify", "delta", lambda d: classify(d)),
+    ("recommended_timeout", "delta", lambda d: recommended_timeout(d, 0.01)),
+    ("conservative_factor", "delta", lambda d: conservative_factor(d, 8.0)),
+    ("negbin_pmf", "delta", lambda d: negbin_pmf(9, 4, d)),
+    ("negbin_survival", "delta", lambda d: negbin_survival(9, 4, d)),
+    ("negbin_cdf", "delta", lambda d: negbin_cdf(9, 4, d)),
+    ("negbin_quantile", "delta", lambda d: negbin_quantile(0.9, 4, d)),
+    ("synthesize_drift_stream", "segment delta",
+     lambda d: synthesize_drift_stream([(0.5, 10), (d, 10)], seed=4)),
+]
+
+NON_INTEGERS = ["5", 2.0, True, np.float64(2.0)]
+NON_REALS = ["0.5", True, np.bool_(True), 0.5j, None]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail any entry point that starts drawing, walking or matrix work."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an invalid argument")
+
+    monkeypatch.setattr(harness, "_stepwise_totals", refuse)
+    monkeypatch.setattr(harness, "run_batch", refuse)
+    monkeypatch.setattr(harness, "generator", refuse)
+    monkeypatch.setattr(calibrate, "generator", refuse)
+    monkeypatch.setattr(markov.np.linalg, "matrix_power", refuse)
+
+
+def entry_ids(table):
+    return [row[0] for row in table]
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry, name, call, valid, minimum", COUNTS, ids=entry_ids(COUNTS))
+def test_a_non_integer_count_is_refused_before_any_work(
+    entry, name, call, valid, minimum, value, no_work
+):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {kind}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, name, call, valid, minimum", COUNTS, ids=entry_ids(COUNTS))
+def test_a_count_below_its_minimum_is_refused_naming_the_argument(
+    entry, name, call, valid, minimum, no_work
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(minimum - 1)
+
+
+@pytest.mark.parametrize("entry, name, call, valid, minimum", COUNTS, ids=entry_ids(COUNTS))
+def test_numpy_integer_counts_run_like_ints(entry, name, call, valid, minimum):
+    assert call(np.int64(valid)) == call(valid)
+
+
+@pytest.mark.parametrize("value", NON_REALS, ids=repr)
+@pytest.mark.parametrize("entry, name, call", DELTAS, ids=entry_ids(DELTAS))
+def test_a_non_real_delta_is_refused_before_any_work(entry, name, call, value, no_work):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number, got {kind}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("entry, name, call", DELTAS, ids=entry_ids(DELTAS))
+def test_a_delta_outside_the_unit_interval_is_refused(entry, name, call, value, no_work):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be in (0, 1], got {value}")):
+        call(value)
+
+
+def test_delta_is_stored_as_a_float():
+    assert type(asdict(SimConfig(delta=1, trials=2))["delta"]) is float
+    assert type(PipelineSpec(np.float32(0.5)).delta) is float
+    assert type(BernoulliOracle(1).delta) is float
+
+
+@pytest.mark.parametrize("kwargs", [{"window_size": 100.0}, {"stage_filter": 1.5}])
+def test_monitor_config_refuses_float_counts_at_construction(kwargs):
+    with pytest.raises(ValueError, match="must be an integer, got float"):
+        MonitorConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# one copy of each rule
+# ---------------------------------------------------------------------------
+
+RULE_MESSAGE = re.compile(r"must be (in \(0, 1\]|>= 1(?![\d.]))")
+
+# Messages outside rng.py allowed to spell a rule. StageEvent checks its
+# fields inline because it runs once per event; TrialBatch checks arrays.
+ALLOWED = {
+    ("calibrate.py", "stage must be >= 1, got "),
+    ("calibrate.py", "attempt must be >= 1, got "),
+    ("simulate.py", "sojourn counts must be >= 1"),
+}
+
+
+def rule_messages(path):
+    """(file name, string) for every string literal in `path` that spells a rule."""
+    tree = ast.parse(path.read_text())
+    return {
+        (path.name, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and RULE_MESSAGE.search(node.value)
+    }
+
+
+def test_only_rng_spells_the_delta_and_count_rules():
+    package = Path(convlab.__file__).parent
+    found = set().union(
+        *(rule_messages(path) for path in sorted(package.glob("*.py")) if path.name != "rng.py")
+    )
+    assert found - ALLOWED == set()
+    assert rule_messages(package / "rng.py")  # the validators themselves

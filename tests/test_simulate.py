@@ -184,8 +184,7 @@ def test_sim_config_validation(kwargs):
 @pytest.mark.parametrize("name", ["trials", "stages", "success_cutoff"])
 @pytest.mark.parametrize("value", [100.0, 4.0, True, np.float64(100.0)])
 def test_sim_config_counts_must_be_integers(name, value):
-    # True is below the default four stages, so its cutoff fails the range check
-    with pytest.raises(ValueError, match=f"{name} must be "):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
         SimConfig(delta=0.5, **{name: value})
 
 
@@ -253,11 +252,13 @@ def test_smallest_delta_depends_on_stage_count():
     assert run_histogram(SimConfig(delta=1e-7, trials=5, seed=1)).values.min() > 4
 
 
-def test_cell_budget_checked_before_allocation():
+def test_cell_budget_checked_before_allocation(monkeypatch):
+    monkeypatch.setattr(simulate, "DEFAULT_CELL_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):
-        run_batch(SimConfig(delta=0.5, trials=300, seed=0), max_cells=1000)
-    # default budget: four-stage trials up to 2**26 are admissible
-    run_batch(SimConfig(delta=0.5, trials=64, seed=0), max_cells=256)
+        run_batch(SimConfig(delta=0.5, trials=300, seed=0))
+    # a batch of exactly the budget is admissible
+    monkeypatch.setattr(simulate, "DEFAULT_CELL_BUDGET", 256)
+    run_batch(SimConfig(delta=0.5, trials=64, seed=0))
 
 
 # ---------------------------------------------------------------------------
