@@ -6,6 +6,9 @@ The two paths are statistically equivalent, and cross_validate checks that
 on live runs: identical delta and trial count, independent seeds, then a
 two-sample mean comparison and a variance ratio.
 
+One walker, _walk, runs every trial. It keeps only the attempts per stage
+and the last state, from which _unfold rebuilds every attempt.
+
 Each trial draws from its own stream derived from (seed, trial index), so
 any single trace can be reproduced without replaying its predecessors:
 trial i of a cross-validation run is run_to_absorption(oracle, max_steps,
@@ -61,6 +64,7 @@ class PipelineState(enum.IntEnum):
 
 
 PIPELINE_STAGES = len(PipelineState) - 1
+_SUCCESSOR = dict(zip(PipelineState, list(PipelineState)[1:]))
 
 
 _STATE_LABELS = {
@@ -112,11 +116,29 @@ def step(
     state: PipelineState, oracle: StageOracle, rng: np.random.Generator
 ) -> PipelineState:
     """One attempt: advance on success, stay on failure."""
-    if state is PipelineState.VERIFIED:
+    successor = _SUCCESSOR.get(state)  # a table: enum calls and member reads are slow
+    if successor is None:
         raise TerminalStateError("pipeline already verified; no further steps")
-    if oracle.attempt(int(state), rng):
-        return PipelineState(state + 1)
-    return state
+    return successor if oracle.attempt(int(state), rng) else state
+
+
+def _walk(oracle: StageOracle, rng: np.random.Generator, max_steps: int):
+    """The one step loop: (attempts per stage, last state) of one trial."""
+    state, verified = PipelineState.CODE_GEN, PipelineState.VERIFIED  # member reads are slow
+    attempts = [0] * (PIPELINE_STAGES + 1)  # indexed by state; slot 0 unused
+    for _ in range(max_steps):
+        attempts[state] += 1
+        state = step(state, oracle, rng)
+        if state is verified:
+            break
+    return attempts[1:], state
+
+
+def _unfold(attempts: Iterable[int], last: PipelineState):
+    """(stage, attempt, success) per attempt; a stage's last succeeded iff last > stage."""
+    for stage, count in zip(PipelineState, attempts):
+        for attempt in range(1, count + 1):
+            yield stage, attempt, attempt == count and last > stage
 
 
 def run_to_absorption(
@@ -124,21 +146,13 @@ def run_to_absorption(
 ) -> TraceRecord:
     """Walk one trial until VERIFIED or max_steps attempts."""
     max_steps = _validate_count("max_steps", max_steps, 1)
-    rng = generator(seed)
-    state = PipelineState.CODE_GEN
-    states = [state]
-    attempts = [0] * PIPELINE_STAGES
-    steps = 0
-    while state is not PipelineState.VERIFIED and steps < max_steps:
-        attempts[int(state) - 1] += 1
-        state = step(state, oracle, rng)
-        states.append(state)
-        steps += 1
+    attempts, last = _walk(oracle, generator(seed), max_steps)
+    visited = (_SUCCESSOR[s] if success else s for s, _, success in _unfold(attempts, last))
     return TraceRecord(
-        states=tuple(states),
-        total_iterations=steps,
+        states=(PipelineState.CODE_GEN, *visited),
+        total_iterations=sum(attempts),
         per_stage_attempts=tuple(attempts),
-        converged=state is PipelineState.VERIFIED,
+        converged=last is PipelineState.VERIFIED,
     )
 
 
@@ -169,13 +183,9 @@ def _stepwise_totals(
     totals = np.empty(trials, dtype=np.int64)
     converged = True
     for index, rng in enumerate(trial_generators(seed, trials)):
-        state = PipelineState.CODE_GEN
-        steps = 0
-        while state is not PipelineState.VERIFIED and steps < max_steps:
-            state = step(state, oracle, rng)
-            steps += 1
-        totals[index] = steps
-        converged &= state is PipelineState.VERIFIED
+        attempts, last = _walk(oracle, rng, max_steps)
+        totals[index] = sum(attempts)
+        converged &= last is PipelineState.VERIFIED
     return totals, converged
 
 
@@ -232,30 +242,14 @@ def cross_validate(
 def trace_events(trace: TraceRecord, trial_id: int = 0, start_timestamp: int = 0):
     """Convert a trace to the monitor's event stream, losslessly.
 
-    Each consecutive state pair becomes one attempt event: success when the
-    state advanced.
+    Each attempt, rebuilt from the attempts per stage and the last state,
+    becomes one event, one timestamp tick after the previous.
     """
-    events = []
-    timestamp = start_timestamp
-    attempt_in_stage = 0
-    current = trace.states[0]
-    for following in trace.states[1:]:
-        attempt_in_stage += 1
-        succeeded = following != current
-        events.append(
-            StageEvent(
-                trial_id=trial_id,
-                stage=int(current),
-                attempt=attempt_in_stage,
-                success=succeeded,
-                timestamp=timestamp,
-            )
-        )
-        timestamp += 1
-        if succeeded:
-            attempt_in_stage = 0
-            current = following
-    return events
+    unfolded = _unfold(trace.per_stage_attempts, trace.states[-1])
+    return [
+        StageEvent(trial_id, int(stage), attempt, success, start_timestamp + offset)
+        for offset, (stage, attempt, success) in enumerate(unfolded)
+    ]
 
 
 def write_traces_jsonl(traces: Iterable[TraceRecord], path: str | Path) -> None:

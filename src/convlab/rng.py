@@ -80,7 +80,7 @@ def _validate_delta(delta: float, name: str = "delta") -> float:
     """Return ``delta`` as a float; ValueError unless it is a real number in (0, 1]."""
     if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {type(delta).__name__}")
-    if not 0.0 < delta <= 1.0:
+    if not 0 < delta <= 1 or float(delta) == 0.0:  # exact range first: float() cannot overflow
         raise ValueError(f"{name} must be in (0, 1], got {delta}")
     return float(delta)
 

@@ -139,6 +139,7 @@ def histogram_mean(values: np.ndarray, counts: np.ndarray) -> float:
 def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
     """Theory-to-observation ratio (stages / delta) / mean."""
     delta = _validate_delta(delta)
+    stages = _validate_count("stages", stages, 1)
     if mean <= 0.0:
         raise ValueError(f"mean must be positive, got {mean}")
     return (stages / delta) / mean
@@ -146,6 +147,7 @@ def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
 
 def iteration_efficiency(mean: float, stages: int = 4) -> float:
     """Fraction of iterations that advanced the pipeline: stages / mean."""
+    stages = _validate_count("stages", stages, 1)
     if mean < stages:
         raise ValueError(
             f"mean {mean} below stages {stages}; totals cannot average below stages"

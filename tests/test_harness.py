@@ -1,21 +1,25 @@
 """Stepwise state machine and its agreement with the vectorized engine."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometric_chi_square
+import convlab
 from convlab import harness
-from convlab.calibrate import MonitorConfig, replay
+from convlab.calibrate import MonitorConfig, StageEvent, replay
 from convlab.errors import TerminalStateError
 from convlab.harness import (
     BernoulliOracle,
     ConstantOracle,
     CrossValidationReport,
     PipelineState,
+    TraceRecord,
     cross_validate,
     run_to_absorption,
     step,
@@ -294,3 +298,93 @@ def test_write_traces_jsonl(tmp_path):
     assert payload["total_iterations"] == records[0].total_iterations
     assert payload["converged"] is True
     assert len(payload["per_stage_attempts"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-step loops that traces used to be recorded with
+# ---------------------------------------------------------------------------
+
+
+def reference_trace(oracle, max_steps, seed):
+    """run_to_absorption as a loop that appends the state after every step."""
+    rng = generator(seed)
+    state = PipelineState.CODE_GEN
+    states = [state]
+    attempts = [0] * 4
+    steps = 0
+    while state is not PipelineState.VERIFIED and steps < max_steps:
+        attempts[int(state) - 1] += 1
+        state = step(state, oracle, rng)
+        states.append(state)
+        steps += 1
+    return TraceRecord(tuple(states), steps, tuple(attempts), state is PipelineState.VERIFIED)
+
+
+def reference_events(trace, trial_id, start_timestamp):
+    """trace_events as a walk over consecutive state pairs: success when the state advanced."""
+    events = []
+    timestamp = start_timestamp
+    attempt_in_stage = 0
+    current = trace.states[0]
+    for following in trace.states[1:]:
+        attempt_in_stage += 1
+        succeeded = following != current
+        events.append(StageEvent(trial_id, int(current), attempt_in_stage, succeeded, timestamp))
+        timestamp += 1
+        if succeeded:
+            attempt_in_stage = 0
+            current = following
+    return events
+
+
+ORACLES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(BernoulliOracle),
+    st.sampled_from([BernoulliOracle(1.0), ConstantOracle(True), ConstantOracle(False)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oracle=ORACLES,
+    seed=st.integers(0, SEED_MODULUS - 1),
+    max_steps=st.integers(1, 120),
+    trial_id=st.integers(0, 1000),
+    start=st.integers(0, 10**6),
+)
+# cut off right after a success, and in the middle of a stage
+@example(oracle=ConstantOracle(True), seed=0, max_steps=2, trial_id=0, start=0)
+@example(oracle=BernoulliOracle(0.05), seed=3, max_steps=30, trial_id=1, start=5)
+def test_traces_and_events_match_the_per_step_reference(oracle, seed, max_steps, trial_id, start):
+    record = run_to_absorption(oracle, max_steps, seed=seed)
+    assert record == reference_trace(oracle, max_steps, seed)
+    assert all(type(state) is PipelineState for state in record.states)
+    # repr also tells an int stage from a PipelineState and a bool from an int
+    events = trace_events(record, trial_id, start)
+    assert repr(events) == repr(reference_events(record, trial_id, start))
+
+
+class StepCalls(ast.NodeVisitor):
+    """(file name, enclosing function) of every call to a function named `step`."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) == "step":
+            self.found.append((self.name, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_only_the_walker_calls_step():
+    calls = []
+    for path in sorted(Path(convlab.__file__).parent.glob("*.py")):
+        visitor = StepCalls(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        calls += visitor.found
+    assert calls == [("harness.py", "_walk")]

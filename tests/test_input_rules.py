@@ -9,6 +9,7 @@ rules in rng.py alone.
 import ast
 import re
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from convlab.simulate import SimConfig, sample_geometric
 from convlab.stats import (
     ci_width_99,
     conservative_factor,
+    iteration_efficiency,
     negbin_cdf,
     negbin_pmf,
     negbin_quantile,
@@ -52,6 +54,10 @@ COUNTS = [
     ("recommended_timeout.stages", "stages",
      lambda v: recommended_timeout(0.5, 0.01, stages=v), 3, 1),
     ("ci_width_99.n", "sample size", lambda v: ci_width_99(2.0, v), 16, 1),
+    ("conservative_factor.stages", "stages",
+     lambda v: conservative_factor(0.5, 8.0, stages=v), 4, 1),
+    ("iteration_efficiency.stages", "stages",
+     lambda v: iteration_efficiency(8.0, stages=v), 4, 1),
     ("MonitorConfig.window_size", "window_size",
      lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
     ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
@@ -131,7 +137,7 @@ def test_a_non_real_delta_is_refused_before_any_work(entry, name, call, value, n
         call(value)
 
 
-@pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan"), Fraction(1, 10**400)])
 @pytest.mark.parametrize("entry, name, call", DELTAS, ids=entry_ids(DELTAS))
 def test_a_delta_outside_the_unit_interval_is_refused(entry, name, call, value, no_work):
     with pytest.raises(ValueError, match=re.escape(f"{name} must be in (0, 1], got {value}")):
