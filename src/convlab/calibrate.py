@@ -1,11 +1,13 @@
 """Sliding-window drift calibration over stage-attempt event streams.
 
 The monitor keeps the last `window_size` attempt outcomes, estimates the
-live success probability as successes/window, and emits an action from the
-configured policy the first time the estimate drops below the trigger
-threshold. Hysteresis: after a trigger it stays disarmed until the estimate
-recovers to the re-arm threshold, so a stream hovering near the trigger
-line cannot fire repeatedly.
+live success probability as successes/window, and emits an action the first
+time the estimate drops below the trigger threshold. Hysteresis: after a
+trigger it stays disarmed until the estimate recovers to at least the re-arm
+threshold, so a stream hovering near the trigger line cannot fire
+repeatedly. Every event enters the window. Actions escalate in the fixed
+order of ACTION_POLICY: Alert, then ContextReset, then TemperatureAdjust for
+every later trigger.
 
 State is a single-writer machine: one owner feeds observe() events with
 non-decreasing timestamps. Streams serialize as JSON lines
@@ -33,7 +35,7 @@ import numpy as np
 from ._io import write_text_atomic
 from .errors import OutOfOrderError
 from .regions import RegionLabel, classify
-from .rng import _validate_count, _validate_delta, generator
+from .rng import _validate_count, _validate_delta, _validate_real, generator
 
 __all__ = [
     "ActionKind",
@@ -65,7 +67,8 @@ class ActionKind(enum.Enum):
     ALERT = "Alert"
 
 
-DEFAULT_ACTION_POLICY = (
+# the action of the i-th trigger; its last entry repeats
+ACTION_POLICY = (
     ActionKind.ALERT,
     ActionKind.CONTEXT_RESET,
     ActionKind.TEMPERATURE_ADJUST,
@@ -106,8 +109,6 @@ class MonitorConfig:
     min_samples: int = 30
     trigger_threshold: float = 0.3
     rearm_threshold: float = 0.35
-    action_policy: tuple[ActionKind, ...] = DEFAULT_ACTION_POLICY
-    stage_filter: int | None = None    # restrict estimation to one stage's events
 
     def __post_init__(self) -> None:
         window = _validate_count("window_size", self.window_size, 1)
@@ -117,19 +118,14 @@ class MonitorConfig:
             raise ValueError(
                 f"min_samples must be in [1, window_size], got {self.min_samples}"
             )
-        if not 0.0 < self.trigger_threshold < self.rearm_threshold <= 1.0:
+        trigger = _validate_real("trigger_threshold", self.trigger_threshold)
+        rearm = _validate_real("rearm_threshold", self.rearm_threshold)
+        object.__setattr__(self, "trigger_threshold", trigger)
+        object.__setattr__(self, "rearm_threshold", rearm)
+        if not 0.0 < trigger < rearm <= 1.0:
             raise ValueError(
-                "thresholds must satisfy 0 < trigger < rearm <= 1, got "
-                f"{self.trigger_threshold} / {self.rearm_threshold}"
+                f"thresholds must satisfy 0 < trigger < rearm <= 1, got {trigger} / {rearm}"
             )
-        if not self.action_policy:
-            raise ValueError("action_policy must list at least one action")
-        if any(kind is ActionKind.NO_ACTION for kind in self.action_policy):
-            raise ValueError("action_policy entries must be real actions")
-        object.__setattr__(self, "action_policy", tuple(self.action_policy))
-        if self.stage_filter is not None:
-            stage = _validate_count("stage_filter", self.stage_filter, 1)
-            object.__setattr__(self, "stage_filter", stage)
 
 
 def _region(estimate: float | None) -> RegionLabel | None:
@@ -167,8 +163,7 @@ class CalibrationState:
 def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
     """Feed one event; returns the action taken (usually NoAction).
 
-    Raises OutOfOrderError when the event timestamp decreases. Events not
-    matching the configured stage_filter leave the window untouched.
+    Raises OutOfOrderError when the event timestamp decreases.
     """
     if state.last_timestamp is not None and event.timestamp < state.last_timestamp:
         raise OutOfOrderError(
@@ -177,9 +172,6 @@ def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
     state.last_timestamp = event.timestamp
 
     config = state.config
-    if config.stage_filter is not None and event.stage != config.stage_filter:
-        return CalibrationAction(ActionKind.NO_ACTION, state.delta_hat, event.timestamp)
-
     if len(state.window) == config.window_size:
         state.successes -= state.window.popleft()
     state.window.append(event.success)
@@ -191,8 +183,7 @@ def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
     if not state.armed and estimate >= config.rearm_threshold:
         state.armed = True
     if state.armed and estimate < config.trigger_threshold:
-        cursor = min(state.policy_cursor, len(config.action_policy) - 1)
-        kind = config.action_policy[cursor]
+        kind = ACTION_POLICY[min(state.policy_cursor, len(ACTION_POLICY) - 1)]
         state.policy_cursor += 1
         state.armed = False
         return CalibrationAction(kind, estimate, event.timestamp)
@@ -313,24 +304,19 @@ def monitor_columns(columns: EventColumns, config: MonitorConfig) -> MonitorTrac
         raise OutOfOrderError(f"timestamp {ts[index + 1]} arrived after {ts[index]}")
 
     n = ts.size
-    if config.stage_filter is None:
-        kept = np.ones(n, dtype=bool)
-    else:
-        kept = columns.stage == config.stage_filter
-    # seen[i]: windowed events up to event i; the window is the last min(seen, W)
-    seen = np.cumsum(kept)
-    running = np.concatenate(([0], np.cumsum(columns.success[kept], dtype=np.int64)))
+    # after event i the window holds the last min(i + 1, W) outcomes
+    seen = np.arange(1, n + 1)
+    running = np.concatenate(([0], np.cumsum(columns.success, dtype=np.int64)))
     fill = np.minimum(seen, min(config.window_size, n))
     successes = running[seen] - running[seen - fill]
     defined = fill >= min(config.min_samples, n + 1)
 
-    # Only windowed events with an estimate move the hysteresis. Disarmed
-    # after an action, the monitor fires again at the first estimate below
-    # the trigger that follows an estimate at or above the re-arm threshold.
+    # Only events with an estimate move the hysteresis. Disarmed after an
+    # action, the monitor fires again at the first estimate below the
+    # trigger that follows an estimate at or above the re-arm threshold.
     estimate = successes / np.maximum(fill, 1)
-    live = kept & defined
-    below = np.flatnonzero(live & (estimate < config.trigger_threshold))
-    rearm = np.flatnonzero(live & (estimate >= config.rearm_threshold))
+    below = np.flatnonzero(defined & (estimate < config.trigger_threshold))
+    rearm = np.flatnonzero(defined & (estimate >= config.rearm_threshold))
     fired: list[int] = []
     start = 0
     while (at := int(np.searchsorted(below, start))) < below.size:
@@ -338,8 +324,8 @@ def monitor_columns(columns: EventColumns, config: MonitorConfig) -> MonitorTrac
         if (at := int(np.searchsorted(rearm, fired[-1]))) == rearm.size:
             break
         start = int(rearm[at])
-    policy = config.action_policy
-    kinds = tuple(policy[min(count, len(policy) - 1)] for count in range(len(fired)))
+    last = len(ACTION_POLICY) - 1
+    kinds = tuple(ACTION_POLICY[min(count, last)] for count in range(len(fired)))
     return MonitorTrace(ts, successes, fill, defined, np.array(fired, dtype=np.int64), kinds)
 
 

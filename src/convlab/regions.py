@@ -1,25 +1,25 @@
 """Operational-region classification and timeout recommendation.
 
-Regions partition the per-stage success probability: Marginal below the
-lower threshold, Practical between the thresholds inclusive, and
-HighPerformance above the upper threshold.
+The paper's three operating zones partition the per-stage success
+probability at the thresholds read off its campaign: Marginal below 0.3,
+Practical from 0.3 to 0.6 inclusive, and HighPerformance above 0.6.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .rng import _validate_delta
+from .rng import _validate_delta, _validate_real
 from .stats import _survival_horizon
 
 __all__ = [
     "RegionLabel",
-    "RegionThresholds",
-    "DEFAULT_THRESHOLDS",
     "classify",
     "recommended_timeout",
 ]
+
+MARGINAL_UPPER = 0.3
+PRACTICAL_UPPER = 0.6
 
 
 class RegionLabel(enum.Enum):
@@ -28,33 +28,19 @@ class RegionLabel(enum.Enum):
     HIGH_PERFORMANCE = "HighPerformance"
 
 
-@dataclass(frozen=True)
-class RegionThresholds:
-    marginal_upper: float = 0.3
-    practical_upper: float = 0.6
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.marginal_upper < self.practical_upper < 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 < marginal_upper < practical_upper < 1"
-            )
-
-
-DEFAULT_THRESHOLDS = RegionThresholds()
-
-
-def classify(delta: float, thresholds: RegionThresholds = DEFAULT_THRESHOLDS) -> RegionLabel:
+def classify(delta: float) -> RegionLabel:
     """Region of one success probability; boundaries belong to Practical."""
     delta = _validate_delta(delta)
-    if delta < thresholds.marginal_upper:
+    if delta < MARGINAL_UPPER:
         return RegionLabel.MARGINAL
-    if delta <= thresholds.practical_upper:
+    if delta <= PRACTICAL_UPPER:
         return RegionLabel.PRACTICAL
     return RegionLabel.HIGH_PERFORMANCE
 
 
 def recommended_timeout(delta: float, epsilon: float, stages: int = 4) -> int:
     """Smallest k whose exact miss probability stats.negbin_survival(k) is <= epsilon."""
+    epsilon = _validate_real("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     return _survival_horizon(epsilon, stages, delta)  # which checks stages and delta

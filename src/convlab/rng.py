@@ -21,6 +21,7 @@ reused Philox to each key in turn. A Philox stream is fixed by its key
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Iterator
 
@@ -61,15 +62,16 @@ def validate_seed(seed: int) -> int:
     return int(seed)
 
 
-def _validate_count(name: str, value: int, minimum: int = 0) -> int:
+def _validate_count(name: str, value: int, minimum: int | None = 0) -> int:
     """Return ``value`` as an int; ValueError unless it is an integer >= ``minimum``.
 
     The type is checked first, so a bad count never fails inside a comparison.
-    Bools are refused and numpy integers accepted.
+    Bools are refused and numpy integers accepted. A ``minimum`` of None
+    checks the type alone.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         if minimum == 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -83,6 +85,23 @@ def _validate_delta(delta: float, name: str = "delta") -> float:
     if not 0 < delta <= 1 or float(delta) == 0.0:  # exact range first: float() cannot overflow
         raise ValueError(f"{name} must be in (0, 1], got {delta}")
     return float(delta)
+
+
+def _validate_real(name: str, value: float) -> float:
+    """Return ``value`` as a float; ValueError unless it is a finite real number.
+
+    Bools are refused. The caller's range check runs on the result, so a bad
+    value never fails inside a comparison.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        result = float(value)
+    except OverflowError:  # an int or Fraction past the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return result
 
 
 def child_seed(base_seed: int, index: int) -> int:

@@ -35,7 +35,14 @@ import numpy as np
 
 from ._io import write_text_atomic
 from .errors import ResourceLimitError
-from .rng import _validate_count, _validate_delta, child_seed, generator, validate_seed
+from .rng import (
+    _validate_count,
+    _validate_delta,
+    _validate_real,
+    child_seed,
+    generator,
+    validate_seed,
+)
 
 __all__ = [
     "DEFAULT_SUCCESS_CUTOFF",
@@ -216,6 +223,7 @@ def count_totals(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_geometric(delta: float, uniform_draw: float) -> int:
     """Invert one uniform draw into a geometric iteration count on {1, 2, ...}."""
     delta = _validate_delta(delta)
+    uniform_draw = _validate_real("uniform draw", uniform_draw)
     if not 0.0 < uniform_draw < 1.0:
         raise ValueError(f"uniform draw must lie in (0, 1), got {uniform_draw}")
     if delta == 1.0:
@@ -332,7 +340,6 @@ def sweep_configs(
     trials: int,
     base_seed: int,
     *,
-    stages: int = 4,
     success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
 ) -> list[SimConfig]:
     """One config per delta; config i draws from child_seed(base_seed, i)."""
@@ -341,7 +348,6 @@ def sweep_configs(
     return [
         SimConfig(
             delta=delta,
-            stages=stages,
             trials=trials,
             seed=child_seed(base_seed, index),
             success_cutoff=success_cutoff,
@@ -350,19 +356,9 @@ def sweep_configs(
     ]
 
 
-def run_sweep(
-    deltas: Sequence[float],
-    trials: int,
-    base_seed: int,
-    *,
-    stages: int = 4,
-    success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
-) -> list[TrialBatch]:
+def run_sweep(deltas: Sequence[float], trials: int, base_seed: int) -> list[TrialBatch]:
     """Run one batch per config of sweep_configs(...)."""
-    configs = sweep_configs(
-        deltas, trials, base_seed, stages=stages, success_cutoff=success_cutoff
-    )
-    return [run_batch(config) for config in configs]
+    return [run_batch(config) for config in sweep_configs(deltas, trials, base_seed)]
 
 
 def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, InsufficientTailError
-from .rng import _validate_count, _validate_delta
+from .rng import _validate_count, _validate_delta, _validate_real
 from .simulate import TotalsHistogram, TrialBatch, count_totals
 
 __all__ = [
@@ -85,18 +85,20 @@ class CcdfSeries:
 
 def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
     """Nearest-rank percentile of a 1-d sample (sort-based reference)."""
-    arr = np.sort(np.asarray(values))
+    arr = np.asarray(values)
     if arr.size == 0:
         raise EmptyInputError("percentile of an empty sample is undefined")
-    return float(arr[_nearest_rank(percentile, arr.size) - 1])
+    rank = _nearest_rank(percentile, arr.size)
+    return float(np.sort(arr)[rank - 1])
 
 
 def _nearest_rank(percentile: float, n: int) -> int:
     """The 1-based rank ceil(p/100 * n), exact on the decimal repr of p."""
+    percentile = _validate_real("percentile", percentile)
     if not 0.0 < percentile <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     # in floating point, 7 / 100.0 * 100 is 7.000000000000001: rank 8, not 7
-    return math.ceil(Fraction(repr(float(percentile))) * n / 100)
+    return math.ceil(Fraction(repr(percentile)) * n / 100)
 
 
 def _cumulative_counts(counts: np.ndarray, what: str) -> tuple[np.ndarray, int]:
@@ -140,6 +142,7 @@ def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
     """Theory-to-observation ratio (stages / delta) / mean."""
     delta = _validate_delta(delta)
     stages = _validate_count("stages", stages, 1)
+    mean = _validate_real("mean", mean)
     if mean <= 0.0:
         raise ValueError(f"mean must be positive, got {mean}")
     return (stages / delta) / mean
@@ -148,6 +151,7 @@ def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
 def iteration_efficiency(mean: float, stages: int = 4) -> float:
     """Fraction of iterations that advanced the pipeline: stages / mean."""
     stages = _validate_count("stages", stages, 1)
+    mean = _validate_real("mean", mean)
     if mean < stages:
         raise ValueError(
             f"mean {mean} below stages {stages}; totals cannot average below stages"
@@ -158,6 +162,7 @@ def iteration_efficiency(mean: float, stages: int = 4) -> float:
 def ci_width_99(std: float, n: int) -> float:
     """Half-width of the 99% normal-approximation interval for the mean."""
     n = _validate_count("sample size", n, 1)
+    std = _validate_real("std", std)
     if std < 0.0:
         raise ValueError(f"std must be non-negative, got {std}")
     return CI_99_MULTIPLIER * std / math.sqrt(n)
@@ -224,6 +229,7 @@ def histogram_ccdf(values: np.ndarray, counts: np.ndarray) -> CcdfSeries:
 
 def tail_decay_fit(series: CcdfSeries, floor_prob: float) -> float:
     """OLS slope of ln(prob) against k over points with prob > floor_prob."""
+    floor_prob = _validate_real("noise floor", floor_prob)
     if floor_prob <= 0.0:
         raise ValueError(f"noise floor must be positive, got {floor_prob}")
     kept = [(k, p) for k, p in series.points if p > floor_prob]
@@ -284,6 +290,7 @@ def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
 def negbin_pmf(k: int, stages: int, delta: float) -> float:
     """P(total iterations = k) for the stage-sum law; 0 below k = stages."""
     stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
+    k = _validate_count("k", k, None)
     if k < stages:
         return 0.0
     return _comb_term(math.comb(k - 1, stages - 1), delta, stages, k - stages)
@@ -292,6 +299,7 @@ def negbin_pmf(k: int, stages: int, delta: float) -> float:
 def negbin_survival(k: int, stages: int, delta: float) -> float:
     """P(total iterations > k) = P(Binomial(k, delta) < stages), summed in `stages` terms."""
     stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
+    k = _validate_count("k", k, None)
     if k < stages:
         return 1.0
     return math.fsum(_comb_term(math.comb(k, j), delta, j, k - j) for j in range(stages))
@@ -314,6 +322,7 @@ def _survival_horizon(tail: float, stages: int, delta: float) -> int:
 
 def negbin_quantile(q: float, stages: int, delta: float) -> int:
     """Smallest k with CDF(k) >= q, that is with negbin_survival(k) <= 1 - q."""
+    q = _validate_real("quantile level", q)
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
     return _survival_horizon(1.0 - q, stages, delta)

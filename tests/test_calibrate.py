@@ -68,8 +68,6 @@ def test_stage_event_validation(kwargs):
         {"trigger_threshold": 0.4, "rearm_threshold": 0.4},  # need a strict gap
         {"trigger_threshold": 0.0},
         {"rearm_threshold": 1.5},
-        {"action_policy": ()},
-        {"action_policy": (ActionKind.NO_ACTION,)},
     ],
 )
 def test_monitor_config_validation(kwargs):
@@ -186,19 +184,6 @@ def test_replay_is_deterministic_and_total():
     second = replay(events, config)
     assert first == second
     assert len(first) == len(events)
-
-
-def test_stage_filter_restricts_window():
-    config = MonitorConfig(window_size=10, min_samples=2, stage_filter=2)
-    events = [
-        StageEvent(0, 1, 1, False, 0),
-        StageEvent(0, 2, 1, True, 1),
-        StageEvent(0, 2, 2, True, 2),
-        StageEvent(0, 3, 1, False, 3),
-    ]
-    trace = replay(events, config)
-    # only the two stage-2 successes enter the window
-    assert [t.delta_hat for t in trace] == [None, None, 1.0, 1.0]
 
 
 def test_out_of_order_timestamps_rejected():
@@ -339,12 +324,7 @@ def monitor_cases(draw):
     # thresholds on a grid of window fractions, so estimates land on them
     trigger = draw(st.integers(1, 2 * window - 1))
     rearm = draw(st.integers(trigger + 1, 2 * window))
-    real_actions = [kind for kind in ActionKind if kind is not ActionKind.NO_ACTION]
-    policy = tuple(draw(st.lists(st.sampled_from(real_actions), min_size=1, max_size=4)))
-    stage_filter = draw(st.one_of(st.none(), st.integers(1, 4)))  # stage 4 never occurs
-    config = MonitorConfig(
-        window, min_samples, trigger / (2 * window), rearm / (2 * window), policy, stage_filter
-    )
+    config = MonitorConfig(window, min_samples, trigger / (2 * window), rearm / (2 * window))
     length = draw(st.integers(0, 80))
     rate = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 1.0]))
     flips = draw(st.lists(st.floats(0, 1), min_size=length, max_size=length))

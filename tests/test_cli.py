@@ -1,16 +1,19 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from conftest import prefactor_corrected_slope
 from convlab import cli
-from convlab.calibrate import synthesize_drift_stream, write_events_jsonl
+from convlab.calibrate import MonitorConfig, synthesize_drift_stream, write_events_jsonl
 from convlab.cli import main, parse_deltas
+from convlab.regions import classify
 
 
 def run_cli(capsys, *args):
@@ -463,6 +466,29 @@ def test_monitor_rejects_inverted_thresholds(tmp_path, capsys):
         "--trigger", "0.5", "--rearm", "0.4",
     )
     assert code == 2
+
+
+def test_monitor_flags_set_every_library_option(tmp_path, capsys, monkeypatch):
+    """The library options are exactly what a user can set: the monitor's
+    four flags fill every MonitorConfig field, and classify takes only delta."""
+    passed = {}
+
+    def recording_config(**kwargs):
+        passed.update(kwargs)
+        return MonitorConfig(**kwargs)
+
+    monkeypatch.setattr(cli, "MonitorConfig", recording_config)
+    code, _, _ = run_cli(
+        capsys,
+        "monitor", "--input", str(drift_file(tmp_path)),
+        "--window", "50", "--min-samples", "10", "--trigger", "0.25", "--rearm", "0.4",
+    )
+    assert code == 0
+    assert passed == {
+        "window_size": 50, "min_samples": 10, "trigger_threshold": 0.25, "rearm_threshold": 0.4
+    }
+    assert {field.name for field in fields(MonitorConfig)} == set(passed)
+    assert list(inspect.signature(classify).parameters) == ["delta"]
 
 
 def test_monitor_missing_input_file(capsys):

@@ -1,9 +1,10 @@
-"""Library input rules: every count and delta goes through rng's validators.
+"""Library input rules: every count, delta and real goes through rng's validators.
 
-A count must be an integer (numpy integers included, bools refused) and a
-delta a real number in (0, 1]. A bad value raises ValueError naming the
-argument before any work starts. The source check at the end keeps these
-rules in rng.py alone.
+A count must be an integer (numpy integers included, bools refused), a
+delta a real number in (0, 1], and any other real-valued argument a finite
+real number (bools refused) before its own range is checked. A bad value
+raises ValueError naming the argument before any work starts. The source
+check at the end keeps these rules in rng.py alone.
 """
 
 import ast
@@ -23,16 +24,21 @@ from convlab.markov import PipelineSpec, build_pipeline_chain, decompose, tail_b
 from convlab.regions import classify, recommended_timeout
 from convlab.simulate import SimConfig, sample_geometric
 from convlab.stats import (
+    CcdfSeries,
     ci_width_99,
     conservative_factor,
+    histogram_percentiles,
     iteration_efficiency,
+    nearest_rank_percentile,
     negbin_cdf,
     negbin_pmf,
     negbin_quantile,
     negbin_survival,
+    tail_decay_fit,
 )
 
 DECOMPOSITION = decompose(build_pipeline_chain(PipelineSpec(delta=0.5)))
+SERIES = CcdfSeries(((4, 0.5), (5, 0.25), (6, 0.125), (7, 0.0625)))
 
 # (id, argument name, call with the count, a valid count, the count's minimum)
 COUNTS = [
@@ -61,7 +67,6 @@ COUNTS = [
     ("MonitorConfig.window_size", "window_size",
      lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
     ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
-    ("MonitorConfig.stage_filter", "stage_filter", lambda v: MonitorConfig(stage_filter=v), 2, 1),
     ("synthesize_drift_stream.attempts", "segment attempts",
      lambda v: synthesize_drift_stream([(0.5, 10), (0.2, v)], seed=4), 12, 1),
 ]
@@ -84,8 +89,28 @@ DELTAS = [
      lambda d: synthesize_drift_stream([(0.5, 10), (d, 10)], seed=4)),
 ]
 
+# (id, argument name, call with the real) for real-valued arguments other than delta
+REALS = [
+    ("sample_geometric.uniform_draw", "uniform draw", lambda v: sample_geometric(0.5, v)),
+    ("recommended_timeout.epsilon", "epsilon", lambda v: recommended_timeout(0.5, v)),
+    ("negbin_quantile.q", "quantile level", lambda v: negbin_quantile(v, 4, 0.5)),
+    ("ci_width_99.std", "std", lambda v: ci_width_99(v, 10)),
+    ("conservative_factor.mean", "mean", lambda v: conservative_factor(0.5, v)),
+    ("iteration_efficiency.mean", "mean", lambda v: iteration_efficiency(v)),
+    ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(SERIES, v)),
+    ("nearest_rank_percentile.percentile", "percentile",
+     lambda v: nearest_rank_percentile(np.arange(10), v)),
+    ("histogram_percentiles.percentile", "percentile",
+     lambda v: histogram_percentiles(np.arange(3), np.ones(3, dtype=np.int64), [v])),
+    ("MonitorConfig.trigger_threshold", "trigger_threshold",
+     lambda v: MonitorConfig(trigger_threshold=v)),
+    ("MonitorConfig.rearm_threshold", "rearm_threshold",
+     lambda v: MonitorConfig(rearm_threshold=v)),
+]
+
 NON_INTEGERS = ["5", 2.0, True, np.float64(2.0)]
 NON_REALS = ["0.5", True, np.bool_(True), 0.5j, None]
+NON_FINITE = [float("nan"), float("inf"), -np.inf, 10**400]
 
 
 @pytest.fixture
@@ -100,6 +125,7 @@ def no_work(monkeypatch):
     monkeypatch.setattr(harness, "generator", refuse)
     monkeypatch.setattr(calibrate, "generator", refuse)
     monkeypatch.setattr(markov.np.linalg, "matrix_power", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
 
 
 def entry_ids(table):
@@ -144,13 +170,51 @@ def test_a_delta_outside_the_unit_interval_is_refused(entry, name, call, value, 
         call(value)
 
 
+@pytest.mark.parametrize("value", NON_REALS, ids=repr)
+@pytest.mark.parametrize("entry, name, call", REALS, ids=entry_ids(REALS))
+def test_a_non_real_argument_is_refused_before_any_work(entry, name, call, value, no_work):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number, got {kind}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry, name, call", REALS, ids=entry_ids(REALS))
+def test_a_non_finite_argument_is_refused_before_any_work(entry, name, call, value, no_work):
+    message = f"^{re.escape(name)} must be finite, got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("function", [negbin_pmf, negbin_survival, negbin_cdf],
+                         ids=lambda function: function.__name__)
+def test_a_non_integer_negbin_k_is_refused(function, value):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {kind}$"):
+        function(value, 4, 0.5)
+
+
+def test_a_negative_negbin_k_keeps_its_answer():
+    assert negbin_pmf(-3, 4, 0.5) == 0.0
+    assert negbin_survival(-3, 4, 0.5) == 1.0
+    assert negbin_cdf(-3, 4, 0.5) == 0.0
+    assert negbin_pmf(np.int64(9), 4, 0.5) == negbin_pmf(9, 4, 0.5)
+
+
+def test_monitor_thresholds_are_stored_as_floats():
+    config = MonitorConfig(trigger_threshold=np.float32(0.25), rearm_threshold=1)
+    assert type(config.trigger_threshold) is float and config.trigger_threshold == 0.25
+    assert type(config.rearm_threshold) is float and config.rearm_threshold == 1.0
+
+
 def test_delta_is_stored_as_a_float():
     assert type(asdict(SimConfig(delta=1, trials=2))["delta"]) is float
     assert type(PipelineSpec(np.float32(0.5)).delta) is float
     assert type(BernoulliOracle(1).delta) is float
 
 
-@pytest.mark.parametrize("kwargs", [{"window_size": 100.0}, {"stage_filter": 1.5}])
+@pytest.mark.parametrize("kwargs", [{"window_size": 100.0}, {"min_samples": 1.5}])
 def test_monitor_config_refuses_float_counts_at_construction(kwargs):
     with pytest.raises(ValueError, match="must be an integer, got float"):
         MonitorConfig(**kwargs)

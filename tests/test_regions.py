@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import decimal_survival
-from convlab.regions import (
-    DEFAULT_THRESHOLDS,
-    RegionLabel,
-    RegionThresholds,
-    classify,
-    recommended_timeout,
-)
+from convlab.regions import RegionLabel, classify, recommended_timeout
 from convlab.stats import negbin_cdf
 
 # boundary semantics: 0.3 and 0.6 are both Practical
@@ -43,24 +37,6 @@ def test_classify_rejects_invalid_delta():
         classify(0.0)
     with pytest.raises(ValueError):
         classify(1.1)
-
-
-def test_classify_with_custom_thresholds():
-    thresholds = RegionThresholds(marginal_upper=0.5, practical_upper=0.8)
-    assert classify(0.45, thresholds) is RegionLabel.MARGINAL
-    assert classify(0.5, thresholds) is RegionLabel.PRACTICAL
-    assert classify(0.81, thresholds) is RegionLabel.HIGH_PERFORMANCE
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        RegionThresholds(marginal_upper=0.6, practical_upper=0.3)
-    with pytest.raises(ValueError):
-        RegionThresholds(marginal_upper=0.0, practical_upper=0.5)
-    with pytest.raises(ValueError):
-        RegionThresholds(marginal_upper=0.3, practical_upper=1.0)
-    assert DEFAULT_THRESHOLDS.marginal_upper == 0.3
-    assert DEFAULT_THRESHOLDS.practical_upper == 0.6
 
 
 # ---------------------------------------------------------------------------
