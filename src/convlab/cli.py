@@ -16,8 +16,9 @@ stream.
 Every command is deterministic for a fixed flag set: reports are written
 atomically (temp file then rename) and contain no wall-clock fields. Time and
 memory go to stderr only: sweep prints the wall time, rate and peak traced
-memory of generating all its histograms. The seed comes from --seed, then the
-CONVLAB_SEED environment variable, then the built-in default.
+memory, over all worker threads, of generating all its histograms. The seed
+comes from --seed, then the CONVLAB_SEED environment variable, then the
+built-in default.
 """
 
 from __future__ import annotations
@@ -50,7 +51,14 @@ from .markov import (
 )
 from .regions import classify
 from .rng import validate_seed
-from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, _measured, run_histogram, sweep_configs
+from .simulate import (
+    DEFAULT_SUCCESS_CUTOFF,
+    SimConfig,
+    _measured,
+    run_histogram,
+    run_histograms,
+    sweep_configs,
+)
 from .stats import (
     histogram_ccdf,
     histogram_mean,
@@ -236,9 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    histograms, runtime, peak = _measured(
-        lambda: [run_histogram(config) for config in configs]
-    )
+    histograms, runtime, peak = _measured(lambda: run_histograms(configs))
     _emit(_report_text([_report_row(h) for h in histograms], args.format), args.out)
 
     trials = sum(config.trials for config in configs)

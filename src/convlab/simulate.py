@@ -4,14 +4,23 @@ A trial is one pipeline run: each stage retries until it succeeds, so the
 per-stage iteration count is geometric on {1, 2, ...} and the trial total is
 their sum.
 
-One kernel draws every batch: `_sojourn_chunks` fills a reused
-(CHUNK_ROWS x stages) uniform buffer from the batch's Philox stream, inverts
-the geometric CDF in place and yields the chunk's sojourns. Two folds consume
-it. `run_batch`, the per-trial reference, copies each chunk into its sojourn
-matrix and row-sums the matrix once. `run_histogram`, the fast path behind
-the CLI, row-sums each chunk and keeps only the histogram of totals, so its
-memory does not grow with the trial count. Consecutive Philox draws equal
-one big draw, so both see the same totals bit for bit.
+One kernel draws every batch: `_sojourn_chunk` gives rows
+[c * CHUNK_ROWS, ...) of a batch's (trials x stages) sojourns. It sets a
+Philox to the batch's start state, advances it c * CHUNK_ROWS * stages / 4
+counter steps (one step yields four doubles; Salmon et al., SC'11), draws
+the chunk's uniforms into a float block and inverts the geometric CDF in
+place, leaving the sojourns there as exact integers. A chunk is thus a pure
+function of (config, chunk index), and its rows are the ones a single
+(trials x stages) draw would give.
+
+Two folds consume it. `run_batch`, the per-trial reference, draws chunk after
+chunk on the calling thread and casts each into its int64 sojourn matrix.
+`run_histograms`, the fast path behind the CLI, row-sums each chunk and
+keeps only the histogram of totals. It counts the chunks of all its configs
+on min(CPUs in the affinity mask, 4, chunks) workers, each with its own
+buffers and counts, and adds the counts up at the end. Memory is one chunk
+per worker whatever the trial count, and since integer counts add up the same
+in any order, the histograms do not depend on the worker count.
 
 Sampling uses inversion, k = ceil(ln(u) / ln(1 - delta)) with u in (0, 1),
 which reproduces the geometric law exactly rather than simulating repeated
@@ -25,11 +34,13 @@ import csv
 import io
 import json
 import math
+import os
+import threading
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,6 +67,7 @@ __all__ = [
     "count_totals",
     "run_batch",
     "run_histogram",
+    "run_histograms",
     "sweep_configs",
     "run_sweep",
     "export_batch_csv",
@@ -63,9 +75,10 @@ __all__ = [
 
 DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
-CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel
+CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel; a multiple of 4
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
 INT64_MAX = int(np.iinfo(np.int64).max)
+_MAX_WORKERS = 4              # threads run_histograms counts on, at most
 
 T = TypeVar("T")
 
@@ -188,7 +201,15 @@ class _TotalsCounter:
             large = totals >= DENSE_LIMIT
             self._overflow.append(totals[large])
             totals = totals[~large]
-        counts = np.bincount(totals)
+        self._add_dense(np.bincount(totals))
+
+    def merge(self, other: "_TotalsCounter") -> None:
+        """Add the counts of `other`, which must not be used afterwards."""
+        self._add_dense(other._dense)
+        self._overflow.extend(other._overflow)
+
+    def _add_dense(self, counts: np.ndarray) -> None:
+        """Add a dense count array; takes ownership of `counts`."""
         if counts.size > self._dense.size:
             counts[: self._dense.size] += self._dense
             self._dense = counts
@@ -233,39 +254,44 @@ def sample_geometric(delta: float, uniform_draw: float) -> int:
     return max(1, count)
 
 
-def _sojourn_chunks(config: SimConfig, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield the batch's (rows, stages) sojourns CHUNK_ROWS trials at a time.
+def _sojourn_chunk(
+    config: SimConfig, start: dict, index: int, rng: np.random.Generator, block: np.ndarray
+) -> np.ndarray:
+    """Rows [index * CHUNK_ROWS, ...) of the batch's sojourns, as exact integers.
 
-    Chunks come in trial order and hold the rows one (trials x stages) draw
-    would give, since consecutive Philox draws equal one big draw. Each yielded
-    array is a buffer that the next chunk overwrites.
+    `start` is the state of the batch's Philox before its first draw. `rng`
+    wraps a Philox of the caller's own, which this sets to the chunk's first
+    draw, and `block` is a float buffer of at least rows * stages cells. The
+    result is a (rows, stages) view of `block`.
     """
-    rows_max = min(CHUNK_ROWS, config.trials)
-    sojourns = np.ones((rows_max, config.stages), dtype=np.int64)
+    first = index * CHUNK_ROWS
+    rows = min(CHUNK_ROWS, config.trials - first)
+    chunk = block[: rows * config.stages].reshape(rows, config.stages)
     if config.delta == 1.0:  # every sojourn is 1; nothing to draw
-        draws = None
-    else:
-        draws = np.empty(sojourns.shape)
-        scale = np.log1p(-config.delta)
-    for start in range(0, config.trials, rows_max):
-        chunk = sojourns[: config.trials - start]
-        if draws is not None:
-            block = draws[: len(chunk)]
-            rng.random(out=block)
-            np.subtract(1.0, block, out=block)  # map [0, 1) to (0, 1]
-            np.log(block, out=block)
-            block /= scale
-            np.ceil(block, out=block)
-            np.copyto(chunk, block, casting="unsafe")
-            np.maximum(chunk, 1, out=chunk)     # guard the u == 1.0 edge
-        yield chunk
+        chunk.fill(1.0)
+        return chunk
+    rng.bit_generator.state = start
+    rng.bit_generator.advance(first * config.stages // 4)  # 4 doubles per counter step
+    rng.random(out=chunk)
+    np.subtract(1.0, chunk, out=chunk)   # map [0, 1) to (0, 1]
+    np.log(chunk, out=chunk)
+    chunk /= np.log1p(-config.delta)
+    np.ceil(chunk, out=chunk)
+    np.maximum(chunk, 1.0, out=chunk)    # guard the u == 1.0 edge
+    return chunk
 
 
-def _row_sums(sojourns: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the row sums of a (rows, stages) matrix into `out`; return it."""
-    np.copyto(out, sojourns[:, 0])
-    for stage in range(1, sojourns.shape[1]):  # column adds beat sum(axis=1)
-        out += sojourns[:, stage]
+def _row_sums(chunk: np.ndarray, out: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Write the int64 row sums of a float chunk of exact integers into `out`.
+
+    Each column is cast into the int64 buffer `column` before it is added, so
+    sums past 2**53 stay exact. Returns the first len(chunk) entries of `out`.
+    """
+    out, column = out[: len(chunk)], column[: len(chunk)]
+    np.copyto(out, chunk[:, 0], casting="unsafe")
+    for stage in range(1, chunk.shape[1]):  # column adds beat sum(axis=1)
+        np.copyto(column, chunk[:, stage], casting="unsafe")
+        out += column
     return out
 
 
@@ -300,13 +326,18 @@ def run_batch(config: SimConfig) -> TrialBatch:
     """Generate one batch; raises ResourceLimitError before allocating past budget."""
     _check_budget(config)
     rng = generator(config.seed)
+    start = rng.bit_generator.state
 
     def generate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sojourns = np.empty((config.trials, config.stages), dtype=np.int64)
-        starts = range(0, config.trials, CHUNK_ROWS)
-        for start, chunk in zip(starts, _sojourn_chunks(config, rng)):
-            sojourns[start : start + len(chunk)] = chunk
-        totals = _row_sums(sojourns, np.empty(config.trials, dtype=np.int64))
+        totals = np.empty(config.trials, dtype=np.int64)
+        rows = min(CHUNK_ROWS, config.trials)
+        block, column = np.empty(rows * config.stages), np.empty(rows, dtype=np.int64)
+        for index in range(_chunk_count(config)):
+            chunk = _sojourn_chunk(config, start, index, rng, block)
+            span = slice(index * CHUNK_ROWS, index * CHUNK_ROWS + len(chunk))
+            sojourns[span] = chunk
+            _row_sums(chunk, totals[span], column)
         return sojourns, totals, totals <= config.success_cutoff
 
     (sojourns, totals, flags), runtime, peak = _measured(generate)
@@ -321,18 +352,106 @@ def run_batch(config: SimConfig) -> TrialBatch:
     )
 
 
-def run_histogram(config: SimConfig) -> TotalsHistogram:
-    """Histogram of one batch's totals, generated in chunks of CHUNK_ROWS trials.
+def _chunk_count(config: SimConfig) -> int:
+    return -(-config.trials // CHUNK_ROWS)
 
-    Same totals as run_batch(config), same cell budget, but memory is bounded
-    by the chunk (plus 8 bytes per trial whose total reaches DENSE_LIMIT).
+
+def _worker_count(jobs: int) -> int:
+    """Workers for `jobs` chunks: min(CPUs in the affinity mask, _MAX_WORKERS, jobs)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS, jobs)
+
+
+class _Worker:
+    """One worker's Philox, chunk buffers and per-config counters.
+
+    Built on the calling thread: buffers allocated on a worker thread would
+    come from that thread's own malloc arena and raise the peak RSS.
     """
-    _check_budget(config)
-    counter = _TotalsCounter()
-    totals = np.empty(min(CHUNK_ROWS, config.trials), dtype=np.int64)
-    for chunk in _sojourn_chunks(config, generator(config.seed)):
-        counter.add(_row_sums(chunk, totals[: len(chunk)]))
-    return TotalsHistogram(config, *counter.result())
+
+    def __init__(self, configs: list[SimConfig], starts: list[dict]) -> None:
+        rows = [min(CHUNK_ROWS, config.trials) for config in configs]
+        self.configs, self.starts = configs, starts
+        self.rng = np.random.Generator(np.random.Philox(0))
+        self.block = np.empty(max(n * config.stages for n, config in zip(rows, configs)))
+        self.totals = np.empty(max(rows), dtype=np.int64)
+        self.column = np.empty(max(rows), dtype=np.int64)
+        self.counters = [_TotalsCounter() for _ in configs]
+
+    def count(self, which: int, index: int) -> None:
+        """Add chunk `index` of config `which` to that config's counter."""
+        config, start = self.configs[which], self.starts[which]
+        chunk = _sojourn_chunk(config, start, index, self.rng, self.block)
+        self.counters[which].add(_row_sums(chunk, self.totals, self.column))
+
+
+def _run_workers(workers: list[_Worker], jobs: list[tuple[int, int]]) -> None:
+    """Count every job's chunk: workers[0] on the calling thread, each other
+    worker on a thread of its own, each claiming the next job until none is
+    left. An exception stops all claiming; the first one is re-raised here
+    once every thread has ended."""
+    claims = iter(jobs)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(worker: _Worker) -> None:
+        try:
+            while not errors:
+                with lock:
+                    job = next(claims, None)
+                if job is None:
+                    return
+                worker.count(*job)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for worker in workers[1:]:
+            thread = threading.Thread(target=work, args=(worker,))
+            thread.start()
+            started.append(thread)
+        work(workers[0])
+    except BaseException as exc:  # a thread that would not start
+        errors.append(exc)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def run_histograms(configs: Sequence[SimConfig]) -> list[TotalsHistogram]:
+    """Histograms of several batches' totals, counted chunk by chunk on every core.
+
+    Same totals as run_batch(config) for each config and the same cell
+    budget, checked for all configs before anything is drawn. Memory is one
+    chunk per worker (plus 8 bytes per trial whose total reaches DENSE_LIMIT),
+    and the result does not depend on the worker count.
+    """
+    configs = list(configs)
+    for config in configs:
+        _check_budget(config)
+    starts = [generator(config.seed).bit_generator.state for config in configs]
+    jobs = [(which, index) for which, config in enumerate(configs)
+            for index in range(_chunk_count(config))]
+    workers = [_Worker(configs, starts) for _ in range(_worker_count(len(jobs)))]
+    if workers:
+        _run_workers(workers, jobs)
+    histograms = []
+    for which, config in enumerate(configs):
+        counter = workers[0].counters[which]
+        for worker in workers[1:]:
+            counter.merge(worker.counters[which])
+        histograms.append(TotalsHistogram(config, *counter.result()))
+    return histograms
+
+
+def run_histogram(config: SimConfig) -> TotalsHistogram:
+    """Histogram of one batch's totals: run_histograms([config])[0]."""
+    return run_histograms([config])[0]
 
 
 def sweep_configs(

@@ -251,11 +251,16 @@ def prefactor_corrected_slope(
     The exact survival is (1-delta)**k times a degree-(stages-1) polynomial in
     k, so the OLS slope of ln negbin_survival over the same `ks` exceeds
     ln(1-delta) by the prefactor's share. OLS is linear in its response, so
-    subtracting that share from `fitted_slope` estimates ln(1-delta).
+    subtracting that share from `fitted_slope` estimates ln(1-delta). A line
+    needs at least two distinct `ks`.
     """
-    ks = np.asarray(ks, dtype=float)
-    exact = np.log([negbin_survival(int(k), stages, delta) for k in ks])
-    exact_slope, _ = np.polyfit(ks, exact, 1)
+    fitted_slope = _validate_real("fitted_slope", fitted_slope)
+    ks = [_validate_count("ks", k, None) for k in ks]
+    distinct = len(set(ks))
+    if distinct < 2:
+        raise ValueError(f"ks must hold at least two distinct integers, got {distinct} distinct")
+    exact = np.log([negbin_survival(k, stages, delta) for k in ks])
+    exact_slope, _ = np.polyfit(np.asarray(ks, dtype=float), exact, 1)
     return fitted_slope - (float(exact_slope) - math.log1p(-delta))
 
 

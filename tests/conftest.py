@@ -3,18 +3,21 @@
 Both fixtures are deterministic (fixed base seed 42, batch seeds split per
 index) so every statistical assertion in the suite is repeatable bit for bit.
 An autouse guard fails any test that leaves tracemalloc on or off other than
-it found it, so a leak is reported where it happens.
+it found it, or leaves a thread running, so a leak is reported where it
+happens.
 """
 
+import contextlib
 import decimal
 import math
+import threading
 import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from convlab import SimConfig, run_batch, run_sweep
+from convlab import SimConfig, run_batch, run_sweep, simulate
 from convlab.rng import child_seed
 
 DELTAS = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -25,13 +28,15 @@ MILLION_TRIALS = 1_000_000
 
 @pytest.fixture(autouse=True)
 def tracing_is_left_as_found():
-    """Fail the test that leaves tracemalloc's on/off state changed.
+    """Fail the test that leaves tracemalloc's on/off state changed or a
+    thread running.
 
     A leaked trace slows every later allocation and inflates the peaks that
     memory tests read, so the failure would otherwise surface in a later,
     unrelated test.
     """
     was_tracing = tracemalloc.is_tracing()
+    threads = threading.active_count()
     yield
     if tracemalloc.is_tracing() != was_tracing:
         if was_tracing:
@@ -39,6 +44,21 @@ def tracing_is_left_as_found():
         else:
             tracemalloc.stop()
         pytest.fail(f"test left tracemalloc.is_tracing() = {not was_tracing}")
+    assert threading.active_count() == threads, "test left a thread running"
+
+
+@contextlib.contextmanager
+def histogram_workers(count):
+    """Count histograms on `count` workers, or on fewer if there are fewer chunks.
+
+    Sets simulate's private worker cap and shows it an affinity mask of
+    `count` CPUs, so the worker count does not depend on the host.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_MAX_WORKERS", count)
+        patch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)),
+                      raising=False)
+        yield
 
 
 @pytest.fixture(scope="session")

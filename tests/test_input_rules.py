@@ -34,6 +34,7 @@ from convlab.stats import (
     negbin_pmf,
     negbin_quantile,
     negbin_survival,
+    prefactor_corrected_slope,
     tail_decay_fit,
 )
 
@@ -98,6 +99,8 @@ REALS = [
     ("conservative_factor.mean", "mean", lambda v: conservative_factor(0.5, v)),
     ("iteration_efficiency.mean", "mean", lambda v: iteration_efficiency(v)),
     ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(SERIES, v)),
+    ("prefactor_corrected_slope.fitted_slope", "fitted_slope",
+     lambda v: prefactor_corrected_slope(v, [10, 20], 0.5)),
     ("nearest_rank_percentile.percentile", "percentile",
      lambda v: nearest_rank_percentile(np.arange(10), v)),
     ("histogram_percentiles.percentile", "percentile",
@@ -193,6 +196,20 @@ def test_a_non_integer_negbin_k_is_refused(function, value):
     kind = type(value).__name__
     with pytest.raises(ValueError, match=f"^k must be an integer, got {kind}$"):
         function(value, 4, 0.5)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+def test_a_non_integer_k_of_a_slope_correction_is_refused(value, no_work):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^ks must be an integer, got {kind}$"):
+        prefactor_corrected_slope(-0.1, [10, value, 30], 0.5)
+
+
+@pytest.mark.parametrize(("ks", "distinct"), [([], 0), ([5], 1), ([7, 7, 7], 1)])
+def test_a_slope_correction_needs_two_distinct_ks(ks, distinct, no_work):
+    message = f"^ks must hold at least two distinct integers, got {distinct} distinct$"
+    with pytest.raises(ValueError, match=message):
+        prefactor_corrected_slope(-0.1, ks, 0.5)
 
 
 def test_a_negative_negbin_k_keeps_its_answer():

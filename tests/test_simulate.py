@@ -2,21 +2,24 @@
 
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import DELTAS, geometric_chi_square
+from conftest import DELTAS, geometric_chi_square, histogram_workers
 from convlab import simulate
+from convlab.cli import main
 from convlab.errors import ResourceLimitError
 from convlab.rng import child_seed, generator
 from convlab.simulate import (
     CHUNK_ROWS,
     SimConfig,
     TrialBatch,
-    _sojourn_chunks,
+    _sojourn_chunk,
     export_batch_csv,
     run_batch,
     run_histogram,
@@ -95,12 +98,14 @@ def test_zero_draw_inverts_to_one_iteration():
     1.0, whose inversion is ceil(-0.0) = 0; the kernel lifts it to 1."""
 
     class ZeroDraws:
+        bit_generator = SimpleNamespace(state=None, advance=lambda steps: None)
+
         def random(self, out):
             out.fill(0.0)
 
     config = SimConfig(delta=0.3, stages=2, trials=3)
-    chunks = [chunk.copy() for chunk in _sojourn_chunks(config, ZeroDraws())]
-    assert np.array_equal(np.concatenate(chunks), np.ones((3, 2), dtype=np.int64))
+    chunk = _sojourn_chunk(config, None, 0, ZeroDraws(), np.empty(6))
+    assert np.array_equal(chunk, np.ones((3, 2), dtype=np.int64))
 
 
 def test_degenerate_delta_one():
@@ -220,11 +225,11 @@ def test_sim_config_takes_numpy_integers_as_ints():
 @pytest.mark.parametrize("run", [run_batch, run_histogram])
 @pytest.mark.parametrize("tracing", [False, True])
 def test_a_raising_kernel_leaves_tracing_as_it_was(run, tracing, monkeypatch):
-    def exhausted(config, rng):
+    def exhausted(config, start, index, rng, block):
         raise MemoryError("kernel out of memory")
-        yield  # a generator, like the kernel it stands in for
 
-    monkeypatch.setattr(simulate, "_sojourn_chunks", exhausted)
+    monkeypatch.setattr(simulate, "_sojourn_chunk", exhausted)
+    threads = threading.active_count()
     if tracing:
         tracemalloc.start()
     try:
@@ -233,6 +238,51 @@ def test_a_raising_kernel_leaves_tracing_as_it_was(run, tracing, monkeypatch):
         assert tracemalloc.is_tracing() is tracing
     finally:
         tracemalloc.stop()
+    assert threading.active_count() == threads
+
+
+def fail_on_worker_threads(monkeypatch):
+    """Make the kernel raise MemoryError on every chunk a worker thread
+    claims. The calling thread waits until a worker has claimed one, then
+    draws its own chunk as usual."""
+    kernel = simulate._sojourn_chunk
+    claimed = threading.Event()
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert claimed.wait(timeout=60)
+            return kernel(*args)
+        claimed.set()
+        raise MemoryError("kernel out of memory")
+
+    monkeypatch.setattr(simulate, "_sojourn_chunk", failing)
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_a_kernel_raising_on_a_worker_thread_leaves_tracing_as_it_was(tracing, monkeypatch):
+    fail_on_worker_threads(monkeypatch)
+    configs = [SimConfig(delta=0.5, trials=3 * CHUNK_ROWS, seed=seed) for seed in (1, 2)]
+    threads = threading.active_count()
+    if tracing:
+        tracemalloc.start()
+    try:
+        with histogram_workers(2), pytest.raises(MemoryError, match="kernel out of memory"):
+            simulate.run_histograms(configs)
+        assert tracemalloc.is_tracing() is tracing
+    finally:
+        tracemalloc.stop()
+    assert threading.active_count() == threads
+
+
+def test_sweep_exits_4_when_a_worker_thread_runs_out_of_memory(monkeypatch, capsys):
+    fail_on_worker_threads(monkeypatch)
+    threads = threading.active_count()
+    with histogram_workers(2):
+        code = main(["sweep", "--deltas", "0.3,0.6", "--trials", str(2 * CHUNK_ROWS), "--seed", "1"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: out of memory: kernel out of memory\n"
+    assert not tracemalloc.is_tracing()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("run", [run_batch, run_histogram])
