@@ -51,14 +51,7 @@ from .markov import (
 )
 from .regions import classify
 from .rng import validate_seed
-from .simulate import (
-    DEFAULT_SUCCESS_CUTOFF,
-    SimConfig,
-    _measured,
-    run_histogram,
-    run_histograms,
-    sweep_configs,
-)
+from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, _measured, run_histogram, sweep_configs
 from .stats import (
     histogram_ccdf,
     histogram_mean,
@@ -244,7 +237,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    histograms, runtime, peak = _measured(lambda: run_histograms(configs))
+    histograms, runtime, peak = _measured(
+        lambda: [run_histogram(config) for config in configs]
+    )
     _emit(_report_text([_report_row(h) for h in histograms], args.format), args.out)
 
     trials = sum(config.trials for config in configs)

@@ -15,12 +15,12 @@ function of (config, chunk index), and its rows are the ones a single
 
 Two folds consume it. `run_batch`, the per-trial reference, draws chunk after
 chunk on the calling thread and casts each into its int64 sojourn matrix.
-`run_histograms`, the fast path behind the CLI, row-sums each chunk and
-keeps only the histogram of totals. It counts the chunks of all its configs
-on min(CPUs in the affinity mask, 4, chunks) workers, each with its own
-buffers and counts, and adds the counts up at the end. Memory is one chunk
-per worker whatever the trial count, and since integer counts add up the same
-in any order, the histograms do not depend on the worker count.
+`run_histogram`, the fast path behind the CLI, row-sums each chunk and
+keeps only the histogram of totals. It counts a config's chunks on
+min(CPUs in the affinity mask, 2, chunks) workers, each with its own buffers
+and counts, and adds the counts up at the end. Memory is one chunk per worker
+whatever the trial count, and since integer counts add up the same in any
+order, the histogram does not depend on the worker count.
 
 Sampling uses inversion, k = ceil(ln(u) / ln(1 - delta)) with u in (0, 1),
 which reproduces the geometric law exactly rather than simulating repeated
@@ -67,7 +67,6 @@ __all__ = [
     "count_totals",
     "run_batch",
     "run_histogram",
-    "run_histograms",
     "sweep_configs",
     "run_sweep",
     "export_batch_csv",
@@ -78,7 +77,9 @@ DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trial
 CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel; a multiple of 4
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
 INT64_MAX = int(np.iinfo(np.int64).max)
-_MAX_WORKERS = 4              # threads run_histograms counts on, at most
+_MAX_WORKERS = 2              # threads run_histogram counts on, at most: each adds a
+                              # chunk's buffers (~3 MiB) to the peak RSS, and 2 is the
+                              # count benchmarked (BENCH_15.json)
 
 T = TypeVar("T")
 
@@ -356,44 +357,43 @@ def _chunk_count(config: SimConfig) -> int:
     return -(-config.trials // CHUNK_ROWS)
 
 
-def _worker_count(jobs: int) -> int:
-    """Workers for `jobs` chunks: min(CPUs in the affinity mask, _MAX_WORKERS, jobs)."""
+def _worker_count(chunks: int) -> int:
+    """Workers for `chunks` chunks: min(CPUs in the affinity mask, _MAX_WORKERS, chunks)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS, jobs)
+    return min(cpus, _MAX_WORKERS, chunks)
 
 
 class _Worker:
-    """One worker's Philox, chunk buffers and per-config counters.
+    """One worker's Philox, chunk buffers and counter for one config.
 
     Built on the calling thread: buffers allocated on a worker thread would
     come from that thread's own malloc arena and raise the peak RSS.
     """
 
-    def __init__(self, configs: list[SimConfig], starts: list[dict]) -> None:
-        rows = [min(CHUNK_ROWS, config.trials) for config in configs]
-        self.configs, self.starts = configs, starts
+    def __init__(self, config: SimConfig, start: dict) -> None:
+        rows = min(CHUNK_ROWS, config.trials)
+        self.config, self.start = config, start
         self.rng = np.random.Generator(np.random.Philox(0))
-        self.block = np.empty(max(n * config.stages for n, config in zip(rows, configs)))
-        self.totals = np.empty(max(rows), dtype=np.int64)
-        self.column = np.empty(max(rows), dtype=np.int64)
-        self.counters = [_TotalsCounter() for _ in configs]
+        self.block = np.empty(rows * config.stages)
+        self.totals = np.empty(rows, dtype=np.int64)
+        self.column = np.empty(rows, dtype=np.int64)
+        self.counter = _TotalsCounter()
 
-    def count(self, which: int, index: int) -> None:
-        """Add chunk `index` of config `which` to that config's counter."""
-        config, start = self.configs[which], self.starts[which]
-        chunk = _sojourn_chunk(config, start, index, self.rng, self.block)
-        self.counters[which].add(_row_sums(chunk, self.totals, self.column))
+    def count(self, index: int) -> None:
+        """Add chunk `index` to the counter."""
+        chunk = _sojourn_chunk(self.config, self.start, index, self.rng, self.block)
+        self.counter.add(_row_sums(chunk, self.totals, self.column))
 
 
-def _run_workers(workers: list[_Worker], jobs: list[tuple[int, int]]) -> None:
-    """Count every job's chunk: workers[0] on the calling thread, each other
-    worker on a thread of its own, each claiming the next job until none is
+def _run_workers(workers: list[_Worker], chunks: int) -> None:
+    """Count chunks 0..chunks-1: workers[0] on the calling thread, each other
+    worker on a thread of its own, each claiming the next chunk until none is
     left. An exception stops all claiming; the first one is re-raised here
     once every thread has ended."""
-    claims = iter(jobs)
+    claims = iter(range(chunks))
     lock = threading.Lock()
     errors: list[BaseException] = []
 
@@ -401,10 +401,10 @@ def _run_workers(workers: list[_Worker], jobs: list[tuple[int, int]]) -> None:
         try:
             while not errors:
                 with lock:
-                    job = next(claims, None)
-                if job is None:
+                    index = next(claims, None)
+                if index is None:
                     return
-                worker.count(*job)
+                worker.count(index)
         except BaseException as exc:
             errors.append(exc)
 
@@ -423,35 +423,22 @@ def _run_workers(workers: list[_Worker], jobs: list[tuple[int, int]]) -> None:
         raise errors[0]
 
 
-def run_histograms(configs: Sequence[SimConfig]) -> list[TotalsHistogram]:
-    """Histograms of several batches' totals, counted chunk by chunk on every core.
+def run_histogram(config: SimConfig) -> TotalsHistogram:
+    """Histogram of one batch's totals, counted chunk by chunk on every core.
 
-    Same totals as run_batch(config) for each config and the same cell
-    budget, checked for all configs before anything is drawn. Memory is one
+    Same totals as run_batch(config) and the same cell budget. Memory is one
     chunk per worker (plus 8 bytes per trial whose total reaches DENSE_LIMIT),
     and the result does not depend on the worker count.
     """
-    configs = list(configs)
-    for config in configs:
-        _check_budget(config)
-    starts = [generator(config.seed).bit_generator.state for config in configs]
-    jobs = [(which, index) for which, config in enumerate(configs)
-            for index in range(_chunk_count(config))]
-    workers = [_Worker(configs, starts) for _ in range(_worker_count(len(jobs)))]
-    if workers:
-        _run_workers(workers, jobs)
-    histograms = []
-    for which, config in enumerate(configs):
-        counter = workers[0].counters[which]
-        for worker in workers[1:]:
-            counter.merge(worker.counters[which])
-        histograms.append(TotalsHistogram(config, *counter.result()))
-    return histograms
-
-
-def run_histogram(config: SimConfig) -> TotalsHistogram:
-    """Histogram of one batch's totals: run_histograms([config])[0]."""
-    return run_histograms([config])[0]
+    _check_budget(config)
+    start = generator(config.seed).bit_generator.state
+    chunks = _chunk_count(config)
+    workers = [_Worker(config, start) for _ in range(_worker_count(chunks))]
+    _run_workers(workers, chunks)
+    counter = workers[0].counter
+    for worker in workers[1:]:
+        counter.merge(worker.counter)
+    return TotalsHistogram(config, *counter.result())
 
 
 def sweep_configs(

@@ -261,13 +261,13 @@ def fail_on_worker_threads(monkeypatch):
 @pytest.mark.parametrize("tracing", [False, True])
 def test_a_kernel_raising_on_a_worker_thread_leaves_tracing_as_it_was(tracing, monkeypatch):
     fail_on_worker_threads(monkeypatch)
-    configs = [SimConfig(delta=0.5, trials=3 * CHUNK_ROWS, seed=seed) for seed in (1, 2)]
+    config = SimConfig(delta=0.5, trials=3 * CHUNK_ROWS, seed=1)
     threads = threading.active_count()
     if tracing:
         tracemalloc.start()
     try:
         with histogram_workers(2), pytest.raises(MemoryError, match="kernel out of memory"):
-            simulate.run_histograms(configs)
+            run_histogram(config)
         assert tracemalloc.is_tracing() is tracing
     finally:
         tracemalloc.stop()
