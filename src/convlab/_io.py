@@ -1,4 +1,4 @@
-"""Atomic text-file writes shared by the CLI and the library exporters."""
+"""Atomic text-file writes for the CLI's reports and sidecars."""
 
 from __future__ import annotations
 

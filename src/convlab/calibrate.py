@@ -27,12 +27,10 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import write_text_atomic
 from .errors import OutOfOrderError
 from .regions import RegionLabel, classify
 from .rng import _validate_count, _validate_delta, _validate_real, generator
@@ -54,7 +52,6 @@ __all__ = [
     "parse_event_line",
     "read_events_jsonl",
     "parse_event_columns",
-    "write_events_jsonl",
     "TRACE_CSV_HEADER",
     "trace_entry_csv_row",
 ]
@@ -463,12 +460,6 @@ def parse_event_columns(text: str) -> EventColumns:
             if (stage >= 1).all() and (attempt >= 1).all():
                 return EventColumns(trial, stage, attempt, success == 1, ts)
     return EventColumns.from_events(read_events_jsonl(text.split("\n")))
-
-
-def write_events_jsonl(events: Iterable[StageEvent], path: str | Path) -> None:
-    """Write one JSON line per event, atomically."""
-    text = "".join(event_to_json(event) + "\n" for event in events)
-    write_text_atomic(Path(path), text)
 
 
 TRACE_CSV_HEADER = "ts,delta_hat,region,action"

@@ -20,15 +20,12 @@ of building each one with generator(child_seed(...)).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
 
-from ._io import write_text_atomic
 from .calibrate import StageEvent
 from .errors import TerminalStateError
 from .rng import _validate_count, _validate_delta, child_seed, generator, trial_generators
@@ -45,7 +42,6 @@ __all__ = [
     "run_to_absorption",
     "cross_validate",
     "trace_events",
-    "write_traces_jsonl",
 ]
 
 
@@ -58,22 +54,9 @@ class PipelineState(enum.IntEnum):
     SMT_SOLVING = 4
     VERIFIED = 5
 
-    @property
-    def label(self) -> str:
-        return _STATE_LABELS[self]
-
 
 PIPELINE_STAGES = len(PipelineState) - 1
 _SUCCESSOR = dict(zip(PipelineState, list(PipelineState)[1:]))
-
-
-_STATE_LABELS = {
-    PipelineState.CODE_GEN: "CodeGen",
-    PipelineState.COMPILATION: "Compilation",
-    PipelineState.INVARIANT_SYNTH: "InvariantSynth",
-    PipelineState.SMT_SOLVING: "SMTSolving",
-    PipelineState.VERIFIED: "Verified",
-}
 
 
 class StageOracle(Protocol):
@@ -250,20 +233,3 @@ def trace_events(trace: TraceRecord, trial_id: int = 0, start_timestamp: int = 0
         StageEvent(trial_id, int(stage), attempt, success, start_timestamp + offset)
         for offset, (stage, attempt, success) in enumerate(unfolded)
     ]
-
-
-def write_traces_jsonl(traces: Iterable[TraceRecord], path: str | Path) -> None:
-    """One JSON object per trace: state labels, iterations, attempts, converged."""
-    lines = []
-    for trace in traces:
-        lines.append(
-            json.dumps(
-                {
-                    "states": [state.label for state in trace.states],
-                    "total_iterations": trace.total_iterations,
-                    "per_stage_attempts": list(trace.per_stage_attempts),
-                    "converged": trace.converged,
-                }
-            )
-        )
-    write_text_atomic(Path(path), "".join(line + "\n" for line in lines))

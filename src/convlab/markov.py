@@ -7,9 +7,8 @@ too so results can be cross-checked against brute-force series summation.
 
 The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
-t = N 1 and absorption probabilities B = N R. The worst-start runtime tail
-P(still running after k steps) is ||Q^k||_inf of the stored block
-(tail_bound); stats.negbin_survival is the pipeline's exact tail.
+t = N 1 and absorption probabilities B = N R. The pipeline's runtime tail
+P(still running after k steps) is exact in stats.negbin_survival.
 
 I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
 Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
@@ -34,7 +33,6 @@ __all__ = [
     "decompose",
     "analyze",
     "spectral_radius",
-    "tail_bound",
     "exact_expected_steps_closed_form",
     "failure_counting_expected_steps",
 ]
@@ -212,7 +210,7 @@ def spectral_radius(transient_block: np.ndarray) -> float:
 
     LAPACK returns a triangular block's diagonal exactly while its largest
     entry lies in [6.7e-139, 1.5e138]. The pipeline block stores fl(1 - delta),
-    so its radius (like tail_bound) reads 1.0 for delta <= 2**-54 (5.6e-17).
+    so its radius reads 1.0 for delta <= 2**-54 (5.6e-17).
     """
     matrix = np.asarray(transient_block, dtype=float)
     if matrix.size == 0:
@@ -261,20 +259,6 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
         spectral_radius=radius,
         tail_constant=tail_constant,
     )
-
-
-def tail_bound(decomposition: CanonicalDecomposition, k: int) -> float:
-    """Worst-start P(not yet absorbed after k steps): ||Q^k||_inf, clamped to 1.
-
-    Repeated squaring of the stored fl(1 - delta) block: on the four-stage
-    pipeline, up to k = 80/delta, it is within 2.4e-9 relative of the exact
-    stats.negbin_survival for delta >= 1e-6, but 2e-6 high at 1e-9, 7e-6 low
-    at 1e-11, and 0.3750 for an exact 0.4335 at 1.5e-15, k = 2666666666666667.
-    For the pipeline's tail at tiny delta use stats.negbin_survival.
-    """
-    k = _validate_count("step count", k)
-    power = np.linalg.matrix_power(decomposition.transient_block, k)
-    return min(1.0, float(power.sum(axis=1).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,21 +30,16 @@ same arrays (see rng module for the stream derivation).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 import threading
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ._io import write_text_atomic
 from .errors import ResourceLimitError
 from .rng import (
     _validate_count,
@@ -69,7 +64,6 @@ __all__ = [
     "run_histogram",
     "sweep_configs",
     "run_sweep",
-    "export_batch_csv",
 ]
 
 DEFAULT_SUCCESS_CUTOFF = 1000
@@ -465,28 +459,3 @@ def sweep_configs(
 def run_sweep(deltas: Sequence[float], trials: int, base_seed: int) -> list[TrialBatch]:
     """Run one batch per config of sweep_configs(...)."""
     return [run_batch(config) for config in sweep_configs(deltas, trials, base_seed)]
-
-
-def export_batch_csv(batch: TrialBatch, path: str | Path) -> None:
-    """Write per-trial rows plus a `<path>.meta.json` sidecar, each atomically.
-
-    Header: trial,stage1,...,stageN,total,success. Sojourn counts are written
-    as integers so a round trip is bit-exact; success is 1/0.
-    """
-    stage_names = [f"stage{j + 1}" for j in range(batch.config.stages)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["trial", *stage_names, "total", "success"])
-    rows = np.column_stack(
-        [
-            np.arange(batch.config.trials, dtype=np.int64),
-            batch.sojourns,
-            batch.totals,
-            batch.success_flags.astype(np.int64),
-        ]
-    )
-    writer.writerows(rows.tolist())
-    write_text_atomic(Path(path), buffer.getvalue())
-    sidecar = {"config": asdict(batch.config), "seed": batch.config.seed}
-    sidecar_text = json.dumps(sidecar, indent=2) + "\n"
-    write_text_atomic(Path(f"{path}.meta.json"), sidecar_text)

@@ -252,13 +252,17 @@ def prefactor_corrected_slope(
     k, so the OLS slope of ln negbin_survival over the same `ks` exceeds
     ln(1-delta) by the prefactor's share. OLS is linear in its response, so
     subtracting that share from `fitted_slope` estimates ln(1-delta). A line
-    needs at least two distinct `ks`.
+    needs at least two distinct `ks`, and delta below 1: at delta = 1 the
+    tail ends at k = stages and ln(1-delta) is -inf.
     """
     fitted_slope = _validate_real("fitted_slope", fitted_slope)
     ks = [_validate_count("ks", k, None) for k in ks]
     distinct = len(set(ks))
     if distinct < 2:
         raise ValueError(f"ks must hold at least two distinct integers, got {distinct} distinct")
+    delta = _validate_delta(delta)
+    if delta == 1.0:
+        raise ValueError(f"delta must be below 1 for a finite tail slope, got {delta}")
     exact = np.log([negbin_survival(k, stages, delta) for k in ks])
     exact_slope, _ = np.polyfit(np.asarray(ks, dtype=float), exact, 1)
     return fitted_slope - (float(exact_slope) - math.log1p(-delta))

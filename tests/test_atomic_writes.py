@@ -1,47 +1,66 @@
-"""Library exporters write atomically: a failed write leaves the old file whole,
-and every written file gets the permissions the umask allows."""
+"""The CLI writes `--out` files atomically: a failed write leaves the old files
+whole and exits 3 with one error line, and every written file gets the
+permissions the umask allows."""
 
 import os
 import stat
 
 import pytest
 
-from convlab.calibrate import StageEvent, write_events_jsonl
+from convlab.calibrate import event_to_json, synthesize_drift_stream
 from convlab.cli import main
-from convlab.harness import ConstantOracle, run_to_absorption, write_traces_jsonl
-from convlab.simulate import SimConfig, export_batch_csv, run_batch
 
 
-def _events(path):
-    write_events_jsonl([StageEvent(0, 1, 1, True, 0)], path)
+def _sweep(directory):
+    return ["sweep", "--deltas", "0.5", "--trials", "10"]
 
 
-def _traces(path):
-    write_traces_jsonl([run_to_absorption(ConstantOracle(True))], path)
+def _tail(directory):
+    return ["tail", "--delta", "0.5", "--trials", "2000"]
 
 
-def _batch(path):
-    export_batch_csv(run_batch(SimConfig(delta=0.5, trials=5, seed=1)), path)
+def _distribution(directory):
+    return ["distribution", "--delta", "0.5", "--trials", "10"]
 
 
-@pytest.mark.parametrize("write", [_events, _traces, _batch])
-def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, write):
-    target = tmp_path / "export.out"
-    target.write_bytes(b"previous contents\n")
+def _monitor(directory):
+    stream = directory / "events.jsonl"
+    events = synthesize_drift_stream([(0.7, 60), (0.2, 60)], seed=9)
+    stream.write_text("".join(event_to_json(event) + "\n" for event in events))
+    return ["monitor", "--input", str(stream), "--window", "20", "--min-samples", "10"]
+
+
+# (arguments before --out, given the directory for inputs; the suffixes of
+# the files written beside the --out file)
+WRITERS = [
+    pytest.param(_sweep, [], id="sweep"),
+    pytest.param(_tail, [".meta.json"], id="tail"),
+    pytest.param(_distribution, [".meta.json"], id="distribution"),
+    pytest.param(_monitor, [], id="monitor"),
+]
+
+
+@pytest.mark.parametrize("arguments, sidecars", WRITERS)
+def test_failed_rename_keeps_old_file_and_leaves_no_temp(
+    tmp_path, monkeypatch, capsys, arguments, sidecars
+):
+    argv = arguments(tmp_path)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    outputs = ["report.out"] + [f"report.out{suffix}" for suffix in sidecars]
+    for name in outputs:
+        (tmp_path / name).write_bytes(b"previous contents\n")
 
     def fail_replace(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", fail_replace)
-    with pytest.raises(OSError, match="rename refused"):
-        write(target)
-    assert target.read_bytes() == b"previous contents\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["export.out"]
-
-
-
-def _sweep_report(path):
-    assert main(["sweep", "--deltas", "0.5", "--trials", "10", "--out", str(path)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "report.out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rename refused\n"
+    for name in outputs:
+        assert (tmp_path / name).read_bytes() == b"previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + outputs)
 
 
 @pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
@@ -51,8 +70,13 @@ def umask(request):
     os.umask(previous)
 
 
-@pytest.mark.parametrize("write", [_events, _traces, _batch, _sweep_report])
-def test_written_files_follow_the_umask(tmp_path, umask, write):
-    write(tmp_path / "export.out")
-    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
-    assert modes and set(modes.values()) == {0o666 & ~umask}
+@pytest.mark.parametrize("arguments, sidecars", WRITERS)
+def test_written_files_follow_the_umask(tmp_path, umask, arguments, sidecars):
+    argv = arguments(tmp_path)
+    inputs = {p.name for p in tmp_path.iterdir()}
+    assert main([*argv, "--out", str(tmp_path / "report.out")]) == 0
+    modes = {
+        p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir() if p.name not in inputs
+    }
+    assert set(modes) == {"report.out"} | {f"report.out{suffix}" for suffix in sidecars}
+    assert set(modes.values()) == {0o666 & ~umask}

@@ -25,7 +25,6 @@ from convlab.calibrate import (
     replay,
     synthesize_drift_stream,
     trace_entry_csv_row,
-    write_events_jsonl,
 )
 from convlab.errors import OutOfOrderError
 from convlab.regions import RegionLabel, classify
@@ -252,7 +251,7 @@ def test_drift_stream_triggers_once_near_change_point():
 def test_event_jsonl_roundtrip(tmp_path):
     events = synthesize_drift_stream([(0.5, 50)], seed=2)
     path = tmp_path / "events.jsonl"
-    write_events_jsonl(events, path)
+    path.write_text("".join(event_to_json(event) + "\n" for event in events))
     parsed = read_events_jsonl(path.read_text().splitlines())
     assert parsed == events
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import prefactor_corrected_slope
 from convlab import cli
-from convlab.calibrate import MonitorConfig, synthesize_drift_stream, write_events_jsonl
+from convlab.calibrate import MonitorConfig, event_to_json, synthesize_drift_stream
 from convlab.cli import main, parse_deltas
 from convlab.regions import classify
 
@@ -401,7 +401,7 @@ def test_tail_fit_matches_asymptotic_rate(tmp_path, capsys, delta):
 def drift_file(tmp_path):
     events = synthesize_drift_stream([(0.7, 500), (0.2, 500)], seed=9001)
     path = tmp_path / "events.jsonl"
-    write_events_jsonl(events, path)
+    path.write_text("".join(event_to_json(event) + "\n" for event in events))
     return path
 
 

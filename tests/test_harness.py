@@ -1,7 +1,6 @@
 """Stepwise state machine and its agreement with the vectorized engine."""
 
 import ast
-import json
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from convlab.harness import (
     run_to_absorption,
     step,
     trace_events,
-    write_traces_jsonl,
 )
 from convlab.rng import SEED_MODULUS, child_seed, generator
 
@@ -57,16 +55,6 @@ def test_step_stays_on_failure():
 def test_step_rejects_terminal_state():
     with pytest.raises(TerminalStateError):
         step(PipelineState.VERIFIED, ConstantOracle(True), generator(0))
-
-
-def test_state_labels():
-    assert [s.label for s in PipelineState] == [
-        "CodeGen",
-        "Compilation",
-        "InvariantSynth",
-        "SMTSolving",
-        "Verified",
-    ]
 
 
 def test_always_succeeding_oracle_gives_minimal_trace():
@@ -284,20 +272,6 @@ def test_trace_events_feed_the_monitor():
     estimates = [t.delta_hat for t in trace if t.delta_hat is not None]
     assert estimates, "monitor never warmed up"
     assert 0.4 <= estimates[-1] <= 0.8  # consistent with the true rate 0.6
-
-
-def test_write_traces_jsonl(tmp_path):
-    records = [run_to_absorption(BernoulliOracle(0.5), seed=s) for s in (1, 2)]
-    path = tmp_path / "traces.jsonl"
-    write_traces_jsonl(records, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    payload = json.loads(lines[0])
-    assert payload["states"][0] == "CodeGen"
-    assert payload["states"][-1] == "Verified"
-    assert payload["total_iterations"] == records[0].total_iterations
-    assert payload["converged"] is True
-    assert len(payload["per_stage_attempts"]) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import convlab
-from convlab import calibrate, harness, markov
+from convlab import calibrate, harness
 from convlab.calibrate import MonitorConfig, synthesize_drift_stream
 from convlab.harness import BernoulliOracle, cross_validate, run_to_absorption
-from convlab.markov import PipelineSpec, build_pipeline_chain, decompose, tail_bound
+from convlab.markov import PipelineSpec
 from convlab.regions import classify, recommended_timeout
 from convlab.simulate import SimConfig, sample_geometric
 from convlab.stats import (
@@ -38,7 +38,6 @@ from convlab.stats import (
     tail_decay_fit,
 )
 
-DECOMPOSITION = decompose(build_pipeline_chain(PipelineSpec(delta=0.5)))
 SERIES = CcdfSeries(((4, 0.5), (5, 0.25), (6, 0.125), (7, 0.0625)))
 
 # (id, argument name, call with the count, a valid count, the count's minimum)
@@ -48,7 +47,6 @@ COUNTS = [
     ("SimConfig.success_cutoff", "success_cutoff",
      lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
     ("PipelineSpec.stages", "stages", lambda v: PipelineSpec(0.5, stages=v), 3, 1),
-    ("tail_bound.k", "step count", lambda v: tail_bound(DECOMPOSITION, v), 5, 0),
     ("run_to_absorption.max_steps", "max_steps",
      lambda v: run_to_absorption(BernoulliOracle(0.5), max_steps=v, seed=2), 6, 1),
     ("cross_validate.trials", "trials", lambda v: cross_validate(0.5, v, 1), 1000, 1000),
@@ -86,6 +84,8 @@ DELTAS = [
     ("negbin_survival", "delta", lambda d: negbin_survival(9, 4, d)),
     ("negbin_cdf", "delta", lambda d: negbin_cdf(9, 4, d)),
     ("negbin_quantile", "delta", lambda d: negbin_quantile(0.9, 4, d)),
+    ("prefactor_corrected_slope", "delta",
+     lambda d: prefactor_corrected_slope(-0.1, [10, 20], d)),
     ("synthesize_drift_stream", "segment delta",
      lambda d: synthesize_drift_stream([(0.5, 10), (d, 10)], seed=4)),
 ]
@@ -118,7 +118,7 @@ NON_FINITE = [float("nan"), float("inf"), -np.inf, 10**400]
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail any entry point that starts drawing, walking or matrix work."""
+    """Fail any entry point that starts drawing, walking or sorting."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an invalid argument")
@@ -127,7 +127,6 @@ def no_work(monkeypatch):
     monkeypatch.setattr(harness, "run_batch", refuse)
     monkeypatch.setattr(harness, "generator", refuse)
     monkeypatch.setattr(calibrate, "generator", refuse)
-    monkeypatch.setattr(markov.np.linalg, "matrix_power", refuse)
     monkeypatch.setattr(np, "sort", refuse)
 
 
@@ -210,6 +209,13 @@ def test_a_slope_correction_needs_two_distinct_ks(ks, distinct, no_work):
     message = f"^ks must hold at least two distinct integers, got {distinct} distinct$"
     with pytest.raises(ValueError, match=message):
         prefactor_corrected_slope(-0.1, ks, 0.5)
+
+
+def test_a_slope_correction_refuses_delta_1(no_work):
+    """At delta = 1 the tail ends at k = stages, so it has no finite slope."""
+    message = "^delta must be below 1 for a finite tail slope, got 1.0$"
+    with pytest.raises(ValueError, match=message):
+        prefactor_corrected_slope(-1.0, [4, 5, 6], 1)
 
 
 def test_a_negative_negbin_k_keeps_its_answer():

@@ -18,7 +18,6 @@ from convlab.markov import (
     exact_expected_steps_closed_form,
     failure_counting_expected_steps,
     spectral_radius,
-    tail_bound,
 )
 from convlab.stats import negbin_survival
 
@@ -136,6 +135,11 @@ def test_absorption_probabilities_sum_to_one(seed):
     )
 
 
+def power_norm(decomposition, k):
+    """||Q^k||_inf: the worst-start P(not yet absorbed after k steps)."""
+    return np.linalg.norm(np.linalg.matrix_power(decomposition.transient_block, k), np.inf)
+
+
 def truncation_depth(decomposition, analysis):
     """Smallest K with ||Q^(K+1)||_inf * ||N||_inf < 1e-9.
 
@@ -143,7 +147,7 @@ def truncation_depth(decomposition, analysis):
     norm that product bounds; tail_constant is ||N||_inf.
     """
     depth = 0
-    while tail_bound(decomposition, depth + 1) * analysis.tail_constant >= 1e-9:
+    while power_norm(decomposition, depth + 1) * analysis.tail_constant >= 1e-9:
         depth += 1
     return depth
 
@@ -220,50 +224,18 @@ def test_from_entries_detects_absorbing_states():
 
 
 # ---------------------------------------------------------------------------
-# tail bound
+# worst-start tail
 # ---------------------------------------------------------------------------
 
 
-def test_tail_bound_values(campaign_batches):
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
-    assert tail_bound(decomposition, 0) == 1.0  # certainty before any step
-    # P(T > 40) = P(Bin(40, 1/2) < 4) = (1 + 40 + 780 + 9880) / 2**40
-    assert tail_bound(decomposition, 40) == pytest.approx(10701 / 2**40, rel=1e-12)
-    bounds = [tail_bound(decomposition, k) for k in range(4, 60)]
-    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
-    # no observed trial at delta=0.5 outlives the k=40 bound's regime
-    batch = next(b for b in campaign_batches if b.config.delta == 0.5)
-    assert int((batch.totals > 40).sum()) == 0
-
-
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 0.9])
-def test_tail_bound_is_the_stage_sum_survival(delta):
+def test_power_norm_is_the_stage_sum_survival(delta):
     """||Q^k||_inf of the pipeline block is P(T > k) from the first stage."""
     decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
     for k in range(401):
         survival = negbin_survival(k, 4, delta)
         if survival >= 1e-290:
-            assert math.isclose(tail_bound(decomposition, k), survival, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "delta", [1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0]
-)
-def test_tail_bound_tracks_the_exact_tail_down_to_delta_1e_6(delta):
-    """Repeated squaring of the stored block stays within 1e-8 relative of
-    the exact survival for k up to 80/delta while delta >= 1e-6."""
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
-    for multiple in (0.5, 1, 2, 4, 8, 16, 40, 80):
-        k = int(multiple / delta)
-        assert math.isclose(
-            tail_bound(decomposition, k), negbin_survival(k, 4, delta), rel_tol=1e-8
-        )
-
-
-def test_tail_bound_rejects_negative_horizon():
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(0.5)))
-    with pytest.raises(ValueError):
-        tail_bound(decomposition, -1)
+            assert math.isclose(power_norm(decomposition, k), survival, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

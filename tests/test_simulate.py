@@ -1,6 +1,5 @@
 """Monte Carlo engine: sampler exactness, determinism, resource guards."""
 
-import json
 import math
 import threading
 import tracemalloc
@@ -20,7 +19,6 @@ from convlab.simulate import (
     SimConfig,
     TrialBatch,
     _sojourn_chunk,
-    export_batch_csv,
     run_batch,
     run_histogram,
     run_sweep,
@@ -365,27 +363,3 @@ def test_campaign_covers_all_deltas(campaign_batches):
     assert [batch.config.delta for batch in campaign_batches] == DELTAS
     for batch in campaign_batches:
         assert batch.config.trials == 10_000
-
-
-def test_export_batch_csv(tmp_path):
-    batch = run_batch(SimConfig(delta=0.5, trials=5, seed=1))
-    out = tmp_path / "batch.csv"
-    export_batch_csv(batch, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "trial,stage1,stage2,stage3,stage4,total,success"
-    assert len(lines) == 6
-    for trial, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert int(cells[0]) == trial
-        assert [int(c) for c in cells[1:5]] == list(batch.sojourns[trial])
-        assert int(cells[5]) == batch.totals[trial]
-        assert cells[6] == "1"
-    sidecar = json.loads((tmp_path / "batch.csv.meta.json").read_text())
-    assert sidecar == {"config": asdict(batch.config), "seed": 1}
-    # the sidecar carries no wall-clock field, so a second export is byte-identical
-    again = tmp_path / "again.csv"
-    export_batch_csv(run_batch(batch.config), again)
-    assert again.read_bytes() == out.read_bytes()
-    assert (tmp_path / "again.csv.meta.json").read_bytes() == (
-        tmp_path / "batch.csv.meta.json"
-    ).read_bytes()
