@@ -266,9 +266,10 @@ class MonitorTrace:
     def csv(self) -> str:
         """The trace CSV, byte for byte what trace_entry_csv_row writes per entry.
 
-        Each row is the timestamp plus a suffix looked up in a table over the
-        distinct (fill, successes) pairs, fewer than (W+1)(W+2)/2 of them for
-        a window of W, and one entry for an undefined estimate.
+        Each row is the timestamp plus a suffix looked up, through a plain
+        list, in a table over the distinct (fill, successes) pairs, fewer than
+        (W+1)(W+2)/2 of them for a window of W, and one entry for an undefined
+        estimate. One join builds the text.
         """
         base = self.ts.size + 1
         pairs = np.where(self.defined, self.fill * base + self.successes, -1)
@@ -281,11 +282,11 @@ class MonitorTrace:
             fill, successes = divmod(pair, base)
             estimate = successes / fill
             table.append(f",{estimate:.6f},{_region(estimate).value},NoAction")
-        suffixes = np.array(table, dtype=object)[inverse]
+        suffixes = [table[index] for index in inverse.tolist()]
         for index, kind in zip(self.fired.tolist(), self.kinds):
             suffixes[index] = suffixes[index].removesuffix("NoAction") + kind.value
-        rows = map(str.__add__, map(str, self.ts.tolist()), suffixes.tolist())
-        return "\n".join([TRACE_CSV_HEADER, *rows, ""])
+        rows = [f"{stamp}{suffix}\n" for stamp, suffix in zip(self.ts.tolist(), suffixes)]
+        return "".join([f"{TRACE_CSV_HEADER}\n", *rows])
 
 
 def monitor_columns(columns: EventColumns, config: MonitorConfig) -> MonitorTrace:
@@ -424,10 +425,19 @@ def read_events_jsonl(lines: Iterable[str]) -> list[StageEvent]:
 # One line exactly as event_to_json writes it; at most 18 digits keep every
 # integer inside int64.
 _CANONICAL_INT = "(?:0|[1-9][0-9]{0,17})"
-_CANONICAL_LINE = re.compile(
-    r'^\{"trial": %s, "stage": %s, "attempt": %s, "success": (?:true|false), "ts": %s\}$'
-    % ((_CANONICAL_INT,) * 4),
-    re.MULTILINE,
+_CANONICAL_LINE = (
+    r'\{"trial": %s, "stage": %s, "attempt": %s, "success": (?:true|false), "ts": %s\}'
+    % ((_CANONICAL_INT,) * 4)
+)
+# A line that str.strip empties and that holds only ASCII: the ASCII
+# whitespace other than LF.
+_BLANK_LINE = r"[ \t\r\x0b\x0c\x1c-\x1f]*"
+# A whole stream of such lines split on LF. The possessive *+ keeps no
+# backtrack point per line: no line holds an LF, so giving one back could
+# never let the last line match. The pattern holds only ASCII, so a stream
+# it matches is ASCII, which _CANONICAL_NUMBERS covers.
+_CANONICAL_STREAM = re.compile(
+    r"(?:(?:{0}|{1})\n)*+(?:{0}|{1})".format(_CANONICAL_LINE, _BLANK_LINE)
 )
 # Over canonical lines, this map leaves six integers per line: trial, stage,
 # attempt, 1 for the "u" of "success", 1 for the "u" of "true" or 0 for the
@@ -441,24 +451,23 @@ _CANONICAL_NUMBERS = str.maketrans(
 def parse_event_columns(text: str) -> EventColumns:
     """Parse a whole event stream: lines split on LF only, blank lines skipped.
 
-    When every non-blank line is exactly what event_to_json writes, one regex
-    checks the stream and one numpy call reads its columns. Every other
-    stream, and a canonical one with a stage or attempt below 1, goes through
-    read_events_jsonl line by line, so an error names the same line with the
-    same message.
+    When every line is either exactly what event_to_json writes or made only
+    of ASCII whitespace, one possessive regex match checks the whole stream
+    and one numpy call reads its columns. Every other stream (one with a line
+    of Unicode whitespace such as U+3000 included), and a canonical one with a
+    stage or attempt below 1, goes through read_events_jsonl line by line, so
+    an error names the same line with the same message.
     """
-    if text.isascii():
-        leftover, canonical = _CANONICAL_LINE.subn("", text)
-        # the regex matches whole lines, so only blank lines may be left over
-        if not leftover.strip():
-            # a known count lets fromstring allocate once instead of growing,
-            # and it reads a blank stream as no numbers instead of one 0
-            numbers = np.fromstring(
-                text.translate(_CANONICAL_NUMBERS), dtype=np.int64, count=6 * canonical, sep=" "
-            )
-            trial, stage, attempt, _, success, ts = numbers.reshape(-1, 6).T
-            if (stage >= 1).all() and (attempt >= 1).all():
-                return EventColumns(trial, stage, attempt, success == 1, ts)
+    if _CANONICAL_STREAM.fullmatch(text):
+        # each canonical line holds exactly one "{" and a blank line none; a
+        # known count lets fromstring allocate once instead of growing, and it
+        # reads a blank stream as no numbers instead of one 0
+        numbers = np.fromstring(
+            text.translate(_CANONICAL_NUMBERS), dtype=np.int64, count=6 * text.count("{"), sep=" "
+        )
+        trial, stage, attempt, _, success, ts = numbers.reshape(-1, 6).T
+        if (stage >= 1).all() and (attempt >= 1).all():
+            return EventColumns(trial, stage, attempt, success == 1, ts)
     return EventColumns.from_events(read_events_jsonl(text.split("\n")))
 
 

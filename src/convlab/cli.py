@@ -137,11 +137,16 @@ def _resolve_seed(flag_value: int | None) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(text: str, out: str, sidecar: dict | None = None) -> None:
+    """The report on stdout for "-"; else the report at `out` and, when given,
+    the sidecar at `out.meta.json`, both written before either is renamed."""
     if out == "-":
         sys.stdout.write(text)
-    else:
-        write_text_atomic(Path(out), text)
+        return
+    files = {Path(out): text}
+    if sidecar is not None:
+        files[Path(f"{out}.meta.json")] = json.dumps(sidecar, indent=2) + "\n"
+    write_text_atomic(files)
 
 
 def _info(message: str) -> None:
@@ -274,17 +279,15 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
     lines = ["k,ccdf"]
     lines.extend(f"{k},{prob:.6f}" for k, prob in series.points)
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.out != "-":
-        sidecar = {
-            "delta": config.delta,
-            "trials": config.trials,
-            "seed": seed,
-            "floor_prob": floor_prob,
-            "fitted_slope": fitted,
-            "theoretical_slope": theoretical,
-        }
-        write_text_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
+    sidecar = {
+        "delta": config.delta,
+        "trials": config.trials,
+        "seed": seed,
+        "floor_prob": floor_prob,
+        "fitted_slope": fitted,
+        "theoretical_slope": theoretical,
+    }
+    _emit("\n".join(lines) + "\n", args.out, sidecar)
     if fitted is not None:
         kept = [k for k, prob in series.points if prob > floor_prob]
         corrected = prefactor_corrected_slope(fitted, kept, config.delta, config.stages)
@@ -345,7 +348,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
     lines = ["k,count"]
     lines.extend(f"{k},{c}" for k, c in zip(values.tolist(), counts.tolist()))
-    _emit("\n".join(lines) + "\n", args.out)
+    sidecar = None
     if args.out != "-":
         p25, p50, p75, p99 = histogram_percentiles(values, counts, (25, 50, 75, 99))
         sidecar = {
@@ -361,7 +364,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "p75": p75,
             "p99": p99,
         }
-        write_text_atomic(Path(f"{args.out}.meta.json"), json.dumps(sidecar, indent=2) + "\n")
+    _emit("\n".join(lines) + "\n", args.out, sidecar)
     return EXIT_OK
 
 

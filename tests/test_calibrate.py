@@ -404,7 +404,9 @@ MALFORMED = [
     '{"trial": 0, "stage": 1, "attempt": 1, "success": true, "ts": -3}',
     '{"trial": 01, "stage": 1, "attempt": 1, "success": true, "ts": 0}',
 ]
-BLANK = ["", " ", "\t", "  \t ", "\x0c", "\u3000"]
+BLANK = [
+    "", " ", "\t", "  \t ", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000"
+]
 
 
 @st.composite
@@ -414,7 +416,8 @@ def event_streams(draw):
     lines = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
         if kind == "canonical":
-            lines.append(canonical_line(draw))
+            # a CR or a space after the object makes the line valid but not canonical
+            lines.append(canonical_line(draw) + draw(st.sampled_from(["", "\r", " "])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(BLANK)))
         elif kind == "valid":
@@ -454,6 +457,39 @@ def test_canonical_stream_takes_the_fast_path(monkeypatch):
     columns = parse_event_columns(text)
     assert columns.ts.dtype == np.int64
     assert column_lists(columns) == column_lists(EventColumns.from_events(events))
+
+
+# every ASCII character that str.strip removes, other than LF
+ASCII_BLANK = st.text(alphabet=" \t\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=4)
+
+
+@st.composite
+def fast_streams(draw):
+    """Canonical lines with stage and attempt at least 1, and ASCII blank lines."""
+    lines = []
+    for blank in draw(st.lists(st.booleans(), max_size=12)):
+        if blank:
+            lines.append(draw(ASCII_BLANK))
+        else:
+            values = [draw(BIG), draw(st.integers(1, 5)), draw(st.integers(1, 5))]
+            lines.append(
+                CANONICAL.format(*values, draw(st.sampled_from(["true", "false"])), draw(BIG))
+            )
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fast_streams())
+def test_canonical_streams_with_ascii_blank_lines_take_the_fast_path(text):
+    expected = column_lists(EventColumns.from_events(read_events_jsonl(text.split("\n"))))
+
+    def per_line(lines):
+        raise AssertionError("the per-line parser ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibrate, "read_events_jsonl", per_line)
+        columns = parse_event_columns(text)
+    assert column_lists(columns) == expected
 
 
 def test_stream_parser_reports_canonical_range_violations_per_line():

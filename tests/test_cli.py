@@ -519,6 +519,24 @@ def test_monitor_line_numbers_count_blank_lines(tmp_path, capsys):
     assert err.startswith("error: line 5: invalid JSON")
 
 
+@pytest.mark.parametrize("where", [2, 100_000])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("garbage", "invalid JSON: Expecting value"),
+        (EVENT.format(1, 1, 7)[:-1], "invalid JSON: Expecting ',' delimiter"),
+    ],
+    ids=["garbage", "cut-short"],
+)
+def test_monitor_names_the_one_bad_line_of_a_long_canonical_stream(
+    tmp_path, capsys, where, bad, message
+):
+    lines = [EVENT.format(1, 1, stamp) for stamp in range(100_000)]
+    lines[where - 1] = bad
+    code, out, err = monitor_file(tmp_path, capsys, "\n".join(lines) + "\n")
+    assert (code, out, err) == (5, "", f"error: line {where}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
