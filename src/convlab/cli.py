@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommand catalog:
-  exact         closed-form chain analysis for one delta
+  exact         the pipeline chain's closed forms for one delta
   sweep         Monte Carlo campaign over a delta grid, report per delta
   tail          CCDF export plus log-linear decay fit for one delta
   monitor       drift monitor over a JSON-lines event stream (file or stdin)
@@ -10,8 +10,8 @@ Subcommand catalog:
 Exit codes: 0 success, 2 invalid flags (including an exact delta below about
 stages * 5.6e-309, where the expected step counts overflow a double, and a
 sweep with fewer than 2 trials per delta), 3 I/O failure, 4 resource budget
-exceeded or out of memory, 5 malformed event line, 6 out-of-order event
-stream.
+exceeded (including exact above 2**20 stages) or out of memory, 5 malformed
+event line, 6 out-of-order event stream.
 
 Every command is deterministic for a fixed flag set: reports are written
 atomically (temp file then rename) and contain no wall-clock fields. Time and
@@ -41,14 +41,7 @@ from .errors import (
     ResourceLimitError,
     SingularMatrixError,
 )
-from .markov import (
-    PipelineSpec,
-    analyze,
-    build_pipeline_chain,
-    decompose,
-    exact_expected_steps_closed_form,
-    failure_counting_expected_steps,
-)
+from .markov import PipelineSpec, failure_counting_expected_steps, pipeline_expected_steps
 from .regions import classify
 from .rng import validate_seed
 from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, _measured, run_histogram, sweep_configs
@@ -73,6 +66,7 @@ __all__ = ["main", "parse_deltas"]
 DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
 RANGE_TOLERANCE = Decimal("1e-9")  # in steps
+EXACT_STAGE_BUDGET = 2**20  # exact holds and prints one float per stage
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,34 +165,39 @@ def cmd_exact(args: argparse.Namespace) -> int:
         spec = PipelineSpec(delta=args.delta, stages=args.stages)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    analysis = analyze(decompose(build_pipeline_chain(spec)))
-    attempts_form = exact_expected_steps_closed_form(spec)
+    if spec.stages > EXACT_STAGE_BUDGET:
+        raise ResourceLimitError(
+            f"exact needs {spec.stages} stages, budget is {EXACT_STAGE_BUDGET}"
+        )
+    steps = pipeline_expected_steps(spec)
+    attempts_form = steps[0]
     failures_form = failure_counting_expected_steps(spec)
+    radius = 1.0 - spec.delta
     headline = attempts_form if args.counting_convention == "attempts" else failures_form
     payload = {
         "delta": spec.delta,
         "stages": spec.stages,
         "counting_convention": args.counting_convention,
-        "expected_steps": analysis.expected_steps.tolist(),
+        "expected_steps": steps,
         "expected_total": headline,
         "closed_form_attempts": attempts_form,
         "closed_form_failures": failures_form,
-        "spectral_radius": analysis.spectral_radius,
-        "tail_constant": analysis.tail_constant,
-        "tail_constant_norm": analysis.tail_constant_norm,
+        "spectral_radius": radius,
+        "tail_constant": attempts_form,
+        "tail_constant_norm": "inf",
     }
     if args.json:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK
-    steps = " ".join(f"{value:.6f}" for value in analysis.expected_steps)
+    by_stage = " ".join(f"{value:.6f}" for value in steps)
     print(f"delta                   {spec.delta:.6f}")
     print(f"stages                  {spec.stages}")
-    print(f"expected steps by stage {steps}")
+    print(f"expected steps by stage {by_stage}")
     print(f"expected total ({args.counting_convention}) {headline:.6f}")
     print(f"closed form, attempts   {attempts_form:.6f}")
     print(f"closed form, failures   {failures_form:.6f}")
-    print(f"spectral radius         {analysis.spectral_radius:.6f}")
-    print(f"tail constant (inf)     {analysis.tail_constant:.6f}")
+    print(f"spectral radius         {radius:.6f}")
+    print(f"tail constant (inf)     {attempts_form:.6f}")
     return EXIT_OK
 
 

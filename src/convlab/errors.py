@@ -14,7 +14,7 @@ class SingularMatrixError(ConvlabError):
 
 
 class ResourceLimitError(ConvlabError):
-    """A simulation request exceeds the configured cell budget."""
+    """A request exceeds a fixed budget: simulation cells or exact's stages."""
 
 
 class InsufficientDataError(ConvlabError):

@@ -7,8 +7,9 @@ too so results can be cross-checked against brute-force series summation.
 
 The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
-t = N 1 and absorption probabilities B = N R. The pipeline's runtime tail
-P(still running after k steps) is exact in stats.negbin_survival.
+t = N 1 and absorption probabilities B = N R. The pipeline's N[i, j] is 1/delta
+for j >= i (Kemeny & Snell, 1960), and its runtime tail P(still running after
+k steps) is exact in stats.negbin_survival.
 
 I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
 Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
@@ -18,6 +19,7 @@ every delta > 0 whose expected step counts fit in a double.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +35,7 @@ __all__ = [
     "decompose",
     "analyze",
     "spectral_radius",
-    "exact_expected_steps_closed_form",
+    "pipeline_expected_steps",
     "failure_counting_expected_steps",
 ]
 
@@ -97,15 +99,6 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "StochasticMatrix":
-        """Build a matrix, detecting absorbing states as exact identity rows."""
-        arr = np.asarray(entries, dtype=float)
-        absorbing = frozenset(
-            int(i) for i in range(arr.shape[0]) if arr[i, i] == 1.0
-        )
-        return cls(arr, absorbing)
-
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
@@ -138,7 +131,6 @@ class ChainAnalysis:
     absorption_probs: np.ndarray   # rows sum to 1: eventual absorber per start state
     spectral_radius: float
     tail_constant: float
-    tail_constant_norm: str = "inf"
 
     def __post_init__(self) -> None:
         for name in ("fundamental", "expected_steps", "absorption_probs"):
@@ -266,15 +258,27 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def exact_expected_steps_closed_form(spec: PipelineSpec) -> float:
-    """Expected total attempts across all stages: stages / delta."""
-    return spec.stages / spec.delta
+def pipeline_expected_steps(spec: PipelineSpec) -> list[float]:
+    """Expected steps to absorption from each stage: (stages - i) / delta.
+
+    Correctly rounded; entry 0 is ||N||_inf. The 1-norm condition number of
+    I - Q is 2 * stages (1 at one stage), inf exactly when stages / delta
+    overflows, which raises SingularMatrixError as analyze does."""
+    if np.isinf(spec.stages / spec.delta):
+        raise SingularMatrixError(
+            f"analysis system condition number inf is not below {CONDITION_LIMIT:.0e}"
+        )
+    return [(spec.stages - i) / spec.delta for i in range(spec.stages)]
 
 
 def failure_counting_expected_steps(spec: PipelineSpec) -> float:
     """Expected iterations when each stage's final success is not re-counted.
 
-    Counts failed attempts plus one terminal transition:
-    (stages - (stages - 1) * delta) / delta.
+    Counts failed attempts plus one terminal transition: stages / delta -
+    (stages - 1), rounded once from the exact rational (inf past the float range).
     """
-    return (spec.stages - (spec.stages - 1) * spec.delta) / spec.delta
+    exact = Fraction(spec.stages) / Fraction(spec.delta) - (spec.stages - 1)
+    try:
+        return float(exact)
+    except OverflowError:
+        return np.inf

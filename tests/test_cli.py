@@ -4,8 +4,12 @@ import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -134,11 +138,50 @@ def test_exact_out_of_memory_exits_4(capsys, monkeypatch):
     def exhausted(spec):
         raise MemoryError("Unable to allocate 74.5 GiB")
 
-    monkeypatch.setattr(cli, "build_pipeline_chain", exhausted)
+    monkeypatch.setattr(cli, "pipeline_expected_steps", exhausted)
     code, out, err = run_cli(capsys, "exact", "--delta", "0.5", "--stages", "100000")
     assert code == 4
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 74.5 GiB\n"
+
+
+def test_exact_answers_for_many_stages(capsys):
+    stages = 100_000
+    code, out, _ = run_cli(capsys, "exact", "--delta", "0.5", "--stages", str(stages), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["expected_steps"] == [(stages - i) / 0.5 for i in range(stages)]
+    assert payload["tail_constant"] == 2 * stages
+
+
+def test_exact_above_the_stage_budget_exits_4_before_building(capsys, monkeypatch):
+    def built(spec):
+        raise AssertionError("the expected steps were computed")
+
+    monkeypatch.setattr(cli, "pipeline_expected_steps", built)
+    code, out, err = run_cli(capsys, "exact", "--delta", "0.5", "--stages", str(2**20 + 1))
+    assert code == 4
+    assert out == ""
+    assert err == "error: exact needs 1048577 stages, budget is 1048576\n"
+
+
+def run_module(*args):
+    """`python -m convlab.cli` in a child process, with this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "convlab.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+
+
+def test_module_entry_point_returns_the_exit_code():
+    done = run_module("exact", "--delta", "0.5")
+    assert done.returncode == 0
+    assert "expected total (attempts) 8.000000\n" in done.stdout
+    done = run_module("exact", "--delta", "0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: delta must be in (0, 1], got 0.0\n"
 
 
 # ---------------------------------------------------------------------------

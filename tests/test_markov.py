@@ -1,6 +1,7 @@
 """Absorbing-chain analysis: exact values, decomposition, and error paths."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from convlab.markov import (
     analyze,
     build_pipeline_chain,
     decompose,
-    exact_expected_steps_closed_form,
     failure_counting_expected_steps,
+    pipeline_expected_steps,
     spectral_radius,
 )
 from convlab.stats import negbin_survival
@@ -37,9 +38,13 @@ def pipeline_analysis(delta, stages=4):
 @pytest.mark.parametrize("delta", FINE_DELTAS)
 def test_expected_total_matches_closed_form(delta, stages):
     analysis = pipeline_analysis(delta, stages)
-    closed = exact_expected_steps_closed_form(PipelineSpec(delta, stages))
+    closed = pipeline_expected_steps(PipelineSpec(delta, stages))[0]
     assert closed == stages / delta
     assert analysis.expected_steps[0] == pytest.approx(closed, rel=1e-10)
+
+
+def assert_within_half_ulp(value, exact):
+    assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -48,11 +53,35 @@ def test_expected_total_matches_closed_form(delta, stages):
     exponent=st.floats(min_value=-307, max_value=0),
 )
 def test_expected_steps_hold_down_to_the_smallest_deltas(stages, exponent):
-    """The exit-mass diagonal of I - Q is delta itself, not 1 - fl(1 - delta)."""
+    """The closed forms are correctly rounded. The dense inverse is within 8 ulps
+    of them, since the exit-mass diagonal of I - Q is delta itself, not
+    1 - fl(1 - delta); its eigensolver reads the stored fl(1 - delta)."""
     delta = 10.0**exponent
+    steps = pipeline_expected_steps(PipelineSpec(delta, stages))
     analysis = pipeline_analysis(delta, stages)
-    for i, steps in enumerate(analysis.expected_steps):
-        assert steps == pytest.approx((stages - i) / delta, rel=2e-15)
+    assert len(steps) == stages
+    for i, (value, dense) in enumerate(zip(steps, analysis.expected_steps)):
+        assert_within_half_ulp(value, Fraction(stages - i) / Fraction(delta))
+        assert abs(value - dense) <= 8 * math.ulp(value)
+    assert 1.0 - delta == analysis.spectral_radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stages=st.integers(min_value=1, max_value=8),
+    exponent=st.floats(min_value=-300, max_value=0),
+)
+def test_failure_counting_is_correctly_rounded(stages, exponent):
+    delta = 10.0**exponent
+    value = failure_counting_expected_steps(PipelineSpec(delta, stages))
+    assert_within_half_ulp(value, Fraction(stages) / Fraction(delta) - (stages - 1))
+
+
+@pytest.mark.parametrize("delta", [1e-308, 5e-324])
+def test_closed_forms_past_the_float_range(delta):
+    with pytest.raises(SingularMatrixError, match="condition number inf is not below 1e"):
+        pipeline_expected_steps(PipelineSpec(delta))
+    assert failure_counting_expected_steps(PipelineSpec(delta)) == math.inf
 
 
 def test_expected_steps_vector_half():
@@ -70,7 +99,7 @@ def test_failure_counting_convention():
     assert failure_counting_expected_steps(PipelineSpec(0.5)) == pytest.approx(5.0)
     assert failure_counting_expected_steps(PipelineSpec(1.0)) == pytest.approx(1.0)
     # conventions agree in the always-advance limit only on attempt count 4
-    assert exact_expected_steps_closed_form(PipelineSpec(1.0)) == 4.0
+    assert pipeline_expected_steps(PipelineSpec(1.0))[0] == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +246,6 @@ def test_decompose_all_absorbing_yields_empty_blocks():
         analyze(decomposition)
 
 
-def test_from_entries_detects_absorbing_states():
-    entries = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
-    matrix = StochasticMatrix.from_entries(entries)
-    assert matrix.absorbing_states == frozenset({1})
-
-
 # ---------------------------------------------------------------------------
 # worst-start tail
 # ---------------------------------------------------------------------------
@@ -263,7 +286,7 @@ def test_pipeline_spec_stages_must_be_an_integer(stages):
 def test_pipeline_spec_takes_numpy_integer_stages():
     spec = PipelineSpec(0.5, stages=np.int64(3))
     assert type(spec.stages) is int
-    assert exact_expected_steps_closed_form(spec) == 6.0
+    assert pipeline_expected_steps(spec)[0] == 6.0
 
 
 def test_stochastic_matrix_rejects_bad_rows():
@@ -326,7 +349,6 @@ def test_decompose_counts_every_positive_entry_as_an_edge():
 
 def test_analysis_records_norm_choice():
     analysis = pipeline_analysis(0.5)
-    assert analysis.tail_constant_norm == "inf"
     assert analysis.tail_constant == pytest.approx(8.0)  # max row sum at start state
 
 
