@@ -7,14 +7,14 @@ on live runs: identical delta and trial count, independent seeds, then a
 two-sample mean comparison and a variance ratio.
 
 One walker, _walk, runs every trial. It keeps only the attempts per stage
-and the last state, from which _unfold rebuilds every attempt.
+and the last state.
 
 Each trial draws from its own stream derived from (seed, trial index), so
-any single trace can be reproduced without replaying its predecessors:
-trial i of a cross-validation run is run_to_absorption(oracle, max_steps,
-seed=child_seed(stepwise_seed, i)). The cross-validation loop takes those
-streams from rng.trial_generators, which derives their keys in bulk, instead
-of building each one with generator(child_seed(...)).
+any single trial can be reproduced without replaying its predecessors:
+trial i of a cross-validation run is _walk(oracle,
+generator(child_seed(stepwise_seed, i)), max_steps). The cross-validation
+loop takes those streams from rng.trial_generators, which derives their keys
+in bulk, instead of building each one with generator(child_seed(...)).
 """
 
 from __future__ import annotations
@@ -22,26 +22,25 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import numpy as np
 
-from .calibrate import StageEvent
 from .errors import TerminalStateError
-from .rng import _validate_count, _validate_delta, child_seed, generator, trial_generators
+from .rng import _validate_count, _validate_delta, child_seed, trial_generators
+# The harness no longer calls generator; it stays importable here because the
+# benchmark's tracer wraps it at this import site (perfbench/layers.py), and
+# its test looks it up on this module with no default.
+from .rng import generator  # noqa: F401
 from .simulate import SimConfig, run_batch
 
 __all__ = [
     "PipelineState",
     "StageOracle",
     "BernoulliOracle",
-    "ConstantOracle",
-    "TraceRecord",
     "CrossValidationReport",
     "step",
-    "run_to_absorption",
     "cross_validate",
-    "trace_events",
 ]
 
 
@@ -75,26 +74,6 @@ class BernoulliOracle:
         return bool(rng.random() < self.delta)
 
 
-class ConstantOracle:
-    """Always-succeed or always-fail oracle for exercising edge paths."""
-
-    def __init__(self, outcome: bool) -> None:
-        self.outcome = bool(outcome)
-
-    def attempt(self, stage: int, rng: np.random.Generator) -> bool:
-        return self.outcome
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """Full history of one run: every state visited, attempts per stage."""
-
-    states: tuple[PipelineState, ...]
-    total_iterations: int
-    per_stage_attempts: tuple[int, ...]
-    converged: bool
-
-
 def step(
     state: PipelineState, oracle: StageOracle, rng: np.random.Generator
 ) -> PipelineState:
@@ -115,28 +94,6 @@ def _walk(oracle: StageOracle, rng: np.random.Generator, max_steps: int):
         if state is verified:
             break
     return attempts[1:], state
-
-
-def _unfold(attempts: Iterable[int], last: PipelineState):
-    """(stage, attempt, success) per attempt; a stage's last succeeded iff last > stage."""
-    for stage, count in zip(PipelineState, attempts):
-        for attempt in range(1, count + 1):
-            yield stage, attempt, attempt == count and last > stage
-
-
-def run_to_absorption(
-    oracle: StageOracle, max_steps: int = 1000, seed: int = 0
-) -> TraceRecord:
-    """Walk one trial until VERIFIED or max_steps attempts."""
-    max_steps = _validate_count("max_steps", max_steps, 1)
-    attempts, last = _walk(oracle, generator(seed), max_steps)
-    visited = (_SUCCESSOR[s] if success else s for s, _, success in _unfold(attempts, last))
-    return TraceRecord(
-        states=(PipelineState.CODE_GEN, *visited),
-        total_iterations=sum(attempts),
-        per_stage_attempts=tuple(attempts),
-        converged=last is PipelineState.VERIFIED,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +172,3 @@ def cross_validate(
         variance_ratio=ratio,
         all_converged=all_converged,
     )
-
-
-# ---------------------------------------------------------------------------
-# trace serialization
-# ---------------------------------------------------------------------------
-
-
-def trace_events(trace: TraceRecord, trial_id: int = 0, start_timestamp: int = 0):
-    """Convert a trace to the monitor's event stream, losslessly.
-
-    Each attempt, rebuilt from the attempts per stage and the last state,
-    becomes one event, one timestamp tick after the previous.
-    """
-    unfolded = _unfold(trace.per_stage_attempts, trace.states[-1])
-    return [
-        StageEvent(trial_id, int(stage), attempt, success, start_timestamp + offset)
-        for offset, (stage, attempt, success) in enumerate(unfolded)
-    ]

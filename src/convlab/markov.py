@@ -236,7 +236,9 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
         raise SingularMatrixError("analysis system is exactly singular") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         condition = np.linalg.norm(system, 1) * np.linalg.norm(fundamental, 1)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    if not np.isfinite(condition):
+        condition = np.inf  # an inverse that overflows can hold nan entries
+    if condition > CONDITION_LIMIT:
         raise SingularMatrixError(
             f"analysis system condition number {condition:.3e} is not below {CONDITION_LIMIT:.0e}"
         )

@@ -7,14 +7,15 @@ counted with simulate.count_totals.
 Percentiles are nearest-rank: the p-th percentile of n sorted values is the
 element at 1-based rank ceil(p/100 * n), computed exactly on the decimal
 form of p (so p = 7 of 100 values is rank 7, not 8). Standard deviation and
-variance use the n-1 denominator; skewness and excess kurtosis use
-bias-uncorrected central moments and are 0 by convention when the variance
-is 0. All moments come from exact integer power sums, so the mean and the
-variance are the correctly rounded values of the exact rationals.
+variance use the n-1 denominator. Both moments come from exact integer power
+sums, so the mean and the variance are the correctly rounded values of the
+exact rationals.
 
 The analytic reference for trial totals is the negative binomial law for
 `stages` successes at probability delta, pmf
 C(k-1, stages-1) * delta**stages * (1-delta)**(k-stages) on k >= stages.
+Its survival function, CDF and quantiles live here; the pmf is a test
+reference.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "ccdf",
     "tail_decay_fit",
     "prefactor_corrected_slope",
-    "negbin_pmf",
     "negbin_cdf",
     "negbin_survival",
     "negbin_quantile",
@@ -58,18 +58,12 @@ CI_99_MULTIPLIER = 2.576
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Moments, percentiles, and derived ratios for one batch of totals."""
+    """Mean, spread, p99 and derived ratios for one batch of totals."""
 
-    n: int
     mean: float
     std: float
     variance: float
-    skewness: float
-    kurtosis: float          # excess kurtosis, normal = 0
-    p25: float
-    p75: float
     p99: float
-    iqr: float
     success_rate: float
     conservative_factor: float
     efficiency: float
@@ -176,34 +170,18 @@ def summarize(batch: TrialBatch) -> SummaryStats:
 def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
     """Full summary of a histogram of totals; requires at least 2 trials."""
     values, counts, config = histogram.values, histogram.counts, histogram.config
-    n, s1, s2, s3, s4 = _power_sums(values, counts, 4)
+    n, s1, s2 = _power_sums(values, counts, 2)
     if n < 2:
         raise InsufficientDataError(f"summary needs >= 2 trials, got {n}")
     mean = s1 / n
-    # n**2 * m2, n**3 * m3 and n**4 * m4 for the central moments m_k
-    a2 = n * s2 - s1 * s1
-    variance = a2 / (n * (n - 1))
+    variance = (n * s2 - s1 * s1) / (n * (n - 1))
     std = math.sqrt(variance)
-    if a2 == 0:
-        skewness = 0.0
-        kurtosis = 0.0
-    else:
-        a3 = n * n * s3 - 3 * n * s1 * s2 + 2 * s1**3
-        a4 = n**3 * s4 - 4 * n * n * s1 * s3 + 6 * n * s1 * s1 * s2 - 3 * s1**4
-        skewness = a3 / a2**1.5
-        kurtosis = a4 / (a2 * a2) - 3.0
-    p25, p75, p99 = histogram_percentiles(values, counts, (25, 75, 99))
+    (p99,) = histogram_percentiles(values, counts, (99,))
     return SummaryStats(
-        n=n,
         mean=mean,
         std=std,
         variance=variance,
-        skewness=skewness,
-        kurtosis=kurtosis,
-        p25=p25,
-        p75=p75,
         p99=p99,
-        iqr=p75 - p25,
         success_rate=histogram.success_rate,
         conservative_factor=conservative_factor(config.delta, mean, config.stages),
         efficiency=iteration_efficiency(mean, config.stages),
@@ -294,15 +272,6 @@ def _comb_term(comb: int, delta: float, successes: int, failures: int) -> float:
         head = comb * Fraction(delta) ** successes
         log_head = math.log(head.numerator) - math.log(head.denominator)
         return math.exp(log_head + failures * math.log1p(-delta))
-
-
-def negbin_pmf(k: int, stages: int, delta: float) -> float:
-    """P(total iterations = k) for the stage-sum law; 0 below k = stages."""
-    stages, delta = _validate_count("stages", stages, 1), _validate_delta(delta)
-    k = _validate_count("k", k, None)
-    if k < stages:
-        return 0.0
-    return _comb_term(math.comb(k - 1, stages - 1), delta, stages, k - stages)
 
 
 def negbin_survival(k: int, stages: int, delta: float) -> float:

@@ -19,6 +19,7 @@ import pytest
 
 from convlab import SimConfig, run_batch, run_sweep, simulate
 from convlab.rng import child_seed
+from convlab.stats import _comb_term
 
 DELTAS = [round(0.1 * i, 1) for i in range(1, 10)]
 CAMPAIGN_SEED = 42
@@ -78,6 +79,27 @@ def million_totals():
         )
         totals[delta] = run_batch(config).totals
     return totals
+
+
+class ConstantOracle:
+    """Always-succeed or always-fail stage oracle for exercising edge paths."""
+
+    def __init__(self, outcome):
+        self.outcome = bool(outcome)
+
+    def attempt(self, stage, rng):
+        return self.outcome
+
+
+def negbin_pmf(k, stages, delta):
+    """P(total = k) for `stages` successes at probability delta; 0 below k = stages.
+
+    Built on the library's survival term, so the pmf keeps delta's low bits
+    and survives binomial coefficients past the float range as it does.
+    """
+    if k < stages:
+        return 0.0
+    return _comb_term(math.comb(k - 1, stages - 1), delta, stages, k - stages)
 
 
 def decimal_survival(k, stages, delta):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CAMPAIGN_SEED, DELTAS, prefactor_corrected_slope
+from conftest import CAMPAIGN_SEED, DELTAS, negbin_pmf, prefactor_corrected_slope
 from convlab.calibrate import MonitorConfig, replay, synthesize_drift_stream
 from convlab.cli import main
 from convlab.harness import cross_validate
@@ -24,7 +24,6 @@ from convlab.rng import child_seed
 from convlab.simulate import run_sweep
 from convlab.stats import (
     ccdf,
-    negbin_pmf,
     negbin_quantile,
     nearest_rank_percentile,
     summarize,

@@ -35,6 +35,9 @@ def test_parse_deltas_range_is_inclusive():
     assert parse_deltas("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
     assert parse_deltas("0.1:0.9:0.1") == [round(0.1 * i, 1) for i in range(1, 10)]
     assert parse_deltas("0.5:0.5:0.1") == [0.5]
+    # an end within 1e-9 of a step below the last value still includes it
+    assert parse_deltas("0.1:0.8999999999:0.1") == [round(0.1 * i, 1) for i in range(1, 10)]
+    assert len(parse_deltas("0.1:0.899999999:0.1")) == 8
 
 
 def test_parse_deltas_comma_list():

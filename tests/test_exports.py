@@ -1,6 +1,6 @@
 """Export lists and imports: every `__all__` entry exists once, the package
-re-exports exactly what its `__init__` imports, and every module reads each
-name it imports."""
+re-exports exactly what its `__init__` imports, every module reads each
+name it imports, and every import site the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import convlab
+from perfbench.layers import TARGETS
 
 MODULES = ["convlab"] + [
     f"convlab.{info.name}" for info in pkgutil.iter_modules(convlab.__path__)
@@ -85,3 +86,10 @@ def unused_imports(path):
                          ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == set()
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=lambda target: f"{target.module}.{target.attribute}")
+def test_every_traced_import_site_resolves(target):
+    """The tracer wraps `module.attribute` and its self-test reads it with no
+    default, so a module that drops a traced import breaks the benchmark."""
+    assert hasattr(importlib.import_module(target.module), target.attribute)

@@ -8,21 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_chi_square
+from conftest import ConstantOracle, geometric_chi_square
 import convlab
 from convlab import harness
-from convlab.calibrate import MonitorConfig, StageEvent, replay
 from convlab.errors import TerminalStateError
 from convlab.harness import (
     BernoulliOracle,
-    ConstantOracle,
     CrossValidationReport,
     PipelineState,
-    TraceRecord,
+    _walk,
     cross_validate,
-    run_to_absorption,
     step,
-    trace_events,
 )
 from convlab.rng import SEED_MODULUS, child_seed, generator
 
@@ -31,7 +27,7 @@ CHI_CRIT_999_DOF15 = 37.69729822451265
 
 
 # ---------------------------------------------------------------------------
-# single steps and whole traces
+# single steps and whole walks
 # ---------------------------------------------------------------------------
 
 
@@ -57,40 +53,28 @@ def test_step_rejects_terminal_state():
         step(PipelineState.VERIFIED, ConstantOracle(True), generator(0))
 
 
-def test_always_succeeding_oracle_gives_minimal_trace():
-    record = run_to_absorption(ConstantOracle(True), seed=0)
-    assert record.converged
-    assert record.total_iterations == 4
-    assert record.per_stage_attempts == (1, 1, 1, 1)
-    assert record.states == (
-        PipelineState.CODE_GEN,
-        PipelineState.COMPILATION,
-        PipelineState.INVARIANT_SYNTH,
-        PipelineState.SMT_SOLVING,
-        PipelineState.VERIFIED,
-    )
+def test_always_succeeding_oracle_gives_minimal_walk():
+    attempts, last = _walk(ConstantOracle(True), generator(0), 1000)
+    assert attempts == [1, 1, 1, 1]
+    assert last is PipelineState.VERIFIED
 
 
 def test_never_succeeding_oracle_hits_step_limit():
-    record = run_to_absorption(ConstantOracle(False), max_steps=50, seed=0)
-    assert not record.converged
-    assert record.total_iterations == 50
-    assert record.states[-1] is PipelineState.CODE_GEN
+    attempts, last = _walk(ConstantOracle(False), generator(0), 50)
+    assert attempts == [50, 0, 0, 0]
+    assert last is PipelineState.CODE_GEN
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_traces_are_legal_paths(seed):
-    record = run_to_absorption(BernoulliOracle(0.4), seed=seed)
-    assert record.converged
-    for current, following in zip(record.states, record.states[1:]):
-        assert following.value in (current.value, current.value + 1)
-    assert sum(record.per_stage_attempts) == record.total_iterations
-    assert all(count >= 1 for count in record.per_stage_attempts)
+def test_converged_walks_attempt_every_stage(seed):
+    attempts, last = _walk(BernoulliOracle(0.4), generator(seed), 1000)
+    assert last is PipelineState.VERIFIED
+    assert all(count >= 1 for count in attempts)
 
 
 def test_runs_are_reproducible():
-    first = run_to_absorption(BernoulliOracle(0.5), seed=123)
-    second = run_to_absorption(BernoulliOracle(0.5), seed=123)
+    first = _walk(BernoulliOracle(0.5), generator(123), 1000)
+    second = _walk(BernoulliOracle(0.5), generator(123), 1000)
     assert first == second
 
 
@@ -107,8 +91,7 @@ def test_stage_attempts_are_geometric():
     trials = 4000
     delta = 0.3
     attempts = [
-        run_to_absorption(BernoulliOracle(delta), seed=2_000_000 + i).per_stage_attempts
-        for i in range(trials)
+        _walk(BernoulliOracle(delta), generator(2_000_000 + i), 1000)[0] for i in range(trials)
     ]
     for stage_index in (0, 3):
         column = [row[stage_index] for row in attempts]
@@ -161,17 +144,7 @@ def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monk
         cross_validate(0.5, **{"trials": 1000, "seed": 1, **kwargs})
 
 
-@pytest.mark.parametrize("max_steps", [2.5, 3.0, True])
-def test_run_to_absorption_max_steps_must_be_an_integer(max_steps):
-    with pytest.raises(ValueError, match="max_steps must be an integer"):
-        run_to_absorption(BernoulliOracle(0.5), max_steps=max_steps)
-
-
 def test_numpy_integer_counts_run_like_ints():
-    oracle = BernoulliOracle(0.5)
-    assert run_to_absorption(oracle, max_steps=np.int64(7), seed=3) == run_to_absorption(
-        oracle, max_steps=7, seed=3
-    )
     assert cross_validate(0.5, np.int64(1000), 1, max_steps=np.int32(1000)) == (
         cross_validate(0.5, 1000, 1)
     )
@@ -197,12 +170,12 @@ def test_cross_validate_rejects_max_steps_below_one_before_any_work(max_steps, m
 )
 def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
     totals, all_converged = harness._stepwise_totals(delta, trials, seed, max_steps)
-    traces = [
-        run_to_absorption(BernoulliOracle(delta), max_steps, seed=child_seed(seed, index))
+    walks = [
+        _walk(BernoulliOracle(delta), generator(child_seed(seed, index)), max_steps)
         for index in range(trials)
     ]
-    assert totals.tolist() == [trace.total_iterations for trace in traces]
-    assert all_converged == all(trace.converged for trace in traces)
+    assert totals.tolist() == [sum(attempts) for attempts, _ in walks]
+    assert all_converged == all(last is PipelineState.VERIFIED for _, last in walks)
 
 
 # cross_validate(delta, 10_000, child_seed(42, i)) for the i-th of 0.1/0.5/0.9,
@@ -233,82 +206,21 @@ def test_cross_validate_reports_are_pinned(index):
 
 
 # ---------------------------------------------------------------------------
-# trace conversion and export
+# reference: the per-step loop that the walker replaced
 # ---------------------------------------------------------------------------
 
 
-def test_trace_converts_to_event_stream():
-    record = run_to_absorption(BernoulliOracle(0.5), seed=11)
-    events = trace_events(record, trial_id=7, start_timestamp=100)
-    assert len(events) == record.total_iterations
-    assert [e.timestamp for e in events] == list(
-        range(100, 100 + record.total_iterations)
-    )
-    assert all(e.trial_id == 7 for e in events)
-    # attempts restart at 1 whenever a stage is cleared
-    for previous, current in zip(events, events[1:]):
-        if previous.success:
-            assert current.stage == previous.stage + 1
-            assert current.attempt == 1
-        else:
-            assert current.stage == previous.stage
-            assert current.attempt == previous.attempt + 1
-    assert events[-1].success  # a converged trace ends by clearing stage four
-    per_stage = {stage: 0 for stage in (1, 2, 3, 4)}
-    for event in events:
-        per_stage[event.stage] += 1
-    assert tuple(per_stage.values()) == record.per_stage_attempts
-
-
-def test_trace_events_feed_the_monitor():
-    records = [run_to_absorption(BernoulliOracle(0.6), seed=s) for s in range(40)]
-    stream = []
-    cursor = 0
-    for trial, record in enumerate(records):
-        events = trace_events(record, trial_id=trial, start_timestamp=cursor)
-        stream.extend(events)
-        cursor += len(events)
-    trace = replay(stream, MonitorConfig(window_size=50, min_samples=20))
-    estimates = [t.delta_hat for t in trace if t.delta_hat is not None]
-    assert estimates, "monitor never warmed up"
-    assert 0.4 <= estimates[-1] <= 0.8  # consistent with the true rate 0.6
-
-
-# ---------------------------------------------------------------------------
-# reference: the per-step loops that traces used to be recorded with
-# ---------------------------------------------------------------------------
-
-
-def reference_trace(oracle, max_steps, seed):
-    """run_to_absorption as a loop that appends the state after every step."""
+def reference_walk(oracle, max_steps, seed):
+    """_walk as a loop that counts each attempt by stage until VERIFIED or max_steps."""
     rng = generator(seed)
     state = PipelineState.CODE_GEN
-    states = [state]
     attempts = [0] * 4
     steps = 0
     while state is not PipelineState.VERIFIED and steps < max_steps:
         attempts[int(state) - 1] += 1
         state = step(state, oracle, rng)
-        states.append(state)
         steps += 1
-    return TraceRecord(tuple(states), steps, tuple(attempts), state is PipelineState.VERIFIED)
-
-
-def reference_events(trace, trial_id, start_timestamp):
-    """trace_events as a walk over consecutive state pairs: success when the state advanced."""
-    events = []
-    timestamp = start_timestamp
-    attempt_in_stage = 0
-    current = trace.states[0]
-    for following in trace.states[1:]:
-        attempt_in_stage += 1
-        succeeded = following != current
-        events.append(StageEvent(trial_id, int(current), attempt_in_stage, succeeded, timestamp))
-        timestamp += 1
-        if succeeded:
-            attempt_in_stage = 0
-            current = following
-    return events
+    return attempts, state
 
 
 ORACLES = st.one_of(
@@ -322,19 +234,14 @@ ORACLES = st.one_of(
     oracle=ORACLES,
     seed=st.integers(0, SEED_MODULUS - 1),
     max_steps=st.integers(1, 120),
-    trial_id=st.integers(0, 1000),
-    start=st.integers(0, 10**6),
 )
 # cut off right after a success, and in the middle of a stage
-@example(oracle=ConstantOracle(True), seed=0, max_steps=2, trial_id=0, start=0)
-@example(oracle=BernoulliOracle(0.05), seed=3, max_steps=30, trial_id=1, start=5)
-def test_traces_and_events_match_the_per_step_reference(oracle, seed, max_steps, trial_id, start):
-    record = run_to_absorption(oracle, max_steps, seed=seed)
-    assert record == reference_trace(oracle, max_steps, seed)
-    assert all(type(state) is PipelineState for state in record.states)
-    # repr also tells an int stage from a PipelineState and a bool from an int
-    events = trace_events(record, trial_id, start)
-    assert repr(events) == repr(reference_events(record, trial_id, start))
+@example(oracle=ConstantOracle(True), seed=0, max_steps=2)
+@example(oracle=BernoulliOracle(0.05), seed=3, max_steps=30)
+def test_walks_match_the_per_step_reference(oracle, seed, max_steps):
+    walked = _walk(oracle, generator(seed), max_steps)
+    # repr also tells an int state from a PipelineState
+    assert repr(walked) == repr(reference_walk(oracle, max_steps, seed))
 
 
 class StepCalls(ast.NodeVisitor):

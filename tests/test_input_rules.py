@@ -19,7 +19,7 @@ import pytest
 import convlab
 from convlab import calibrate, harness
 from convlab.calibrate import MonitorConfig, synthesize_drift_stream
-from convlab.harness import BernoulliOracle, cross_validate, run_to_absorption
+from convlab.harness import BernoulliOracle, cross_validate
 from convlab.markov import PipelineSpec
 from convlab.regions import classify, recommended_timeout
 from convlab.simulate import SimConfig, sample_geometric
@@ -31,7 +31,6 @@ from convlab.stats import (
     iteration_efficiency,
     nearest_rank_percentile,
     negbin_cdf,
-    negbin_pmf,
     negbin_quantile,
     negbin_survival,
     prefactor_corrected_slope,
@@ -47,12 +46,9 @@ COUNTS = [
     ("SimConfig.success_cutoff", "success_cutoff",
      lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
     ("PipelineSpec.stages", "stages", lambda v: PipelineSpec(0.5, stages=v), 3, 1),
-    ("run_to_absorption.max_steps", "max_steps",
-     lambda v: run_to_absorption(BernoulliOracle(0.5), max_steps=v, seed=2), 6, 1),
     ("cross_validate.trials", "trials", lambda v: cross_validate(0.5, v, 1), 1000, 1000),
     ("cross_validate.max_steps", "max_steps",
      lambda v: cross_validate(0.5, 1000, 1, max_steps=v), 30, 1),
-    ("negbin_pmf.stages", "stages", lambda v: negbin_pmf(9, v, 0.5), 3, 1),
     ("negbin_survival.stages", "stages", lambda v: negbin_survival(9, v, 0.5), 3, 1),
     ("negbin_cdf.stages", "stages", lambda v: negbin_cdf(9, v, 0.5), 3, 1),
     ("negbin_quantile.stages", "stages", lambda v: negbin_quantile(0.9, v, 0.5), 3, 1),
@@ -80,7 +76,6 @@ DELTAS = [
     ("classify", "delta", lambda d: classify(d)),
     ("recommended_timeout", "delta", lambda d: recommended_timeout(d, 0.01)),
     ("conservative_factor", "delta", lambda d: conservative_factor(d, 8.0)),
-    ("negbin_pmf", "delta", lambda d: negbin_pmf(9, 4, d)),
     ("negbin_survival", "delta", lambda d: negbin_survival(9, 4, d)),
     ("negbin_cdf", "delta", lambda d: negbin_cdf(9, 4, d)),
     ("negbin_quantile", "delta", lambda d: negbin_quantile(0.9, 4, d)),
@@ -189,7 +184,7 @@ def test_a_non_finite_argument_is_refused_before_any_work(entry, name, call, val
 
 
 @pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
-@pytest.mark.parametrize("function", [negbin_pmf, negbin_survival, negbin_cdf],
+@pytest.mark.parametrize("function", [negbin_survival, negbin_cdf],
                          ids=lambda function: function.__name__)
 def test_a_non_integer_negbin_k_is_refused(function, value):
     kind = type(value).__name__
@@ -219,10 +214,8 @@ def test_a_slope_correction_refuses_delta_1(no_work):
 
 
 def test_a_negative_negbin_k_keeps_its_answer():
-    assert negbin_pmf(-3, 4, 0.5) == 0.0
     assert negbin_survival(-3, 4, 0.5) == 1.0
     assert negbin_cdf(-3, 4, 0.5) == 0.0
-    assert negbin_pmf(np.int64(9), 4, 0.5) == negbin_pmf(9, 4, 0.5)
 
 
 def test_monitor_thresholds_are_stored_as_floats():
