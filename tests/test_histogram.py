@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from conftest import histogram_workers
 from convlab import simulate
@@ -35,6 +36,7 @@ from convlab.stats import (
     histogram_mean,
     histogram_percentiles,
     nearest_rank_percentile,
+    summarize,
     summarize_histogram,
 )
 
@@ -149,6 +151,16 @@ def test_workers_claim_every_chunk_exactly_once_under_frequent_switches():
     for one, many in zip(serial, parallel, strict=True):
         assert np.array_equal(one.values, many.values)
         assert np.array_equal(one.counts, many.counts)
+
+
+@pytest.mark.parametrize(("delta", "seed"), [(0.05, 1), (0.3, 2), (0.9, 3)])
+def test_moments_match_scipy(delta, seed):
+    batch = run_batch(SimConfig(delta=delta, trials=20_000, seed=seed))
+    summary = summarize(batch)
+    described = scipy_stats.describe(batch.totals.astype(float))
+    assert summary.mean == pytest.approx(described.mean, rel=1e-12)
+    assert summary.variance == pytest.approx(described.variance, rel=1e-9)
+    assert summary.std == pytest.approx(np.sqrt(described.variance), rel=1e-9)
 
 
 def test_count_totals_merges_dense_and_overflow_ranges():

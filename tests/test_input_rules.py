@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import convlab
-from convlab import calibrate, harness
+from convlab import calibrate, harness, simulate
 from convlab.calibrate import MonitorConfig, synthesize_drift_stream
 from convlab.harness import BernoulliOracle, cross_validate
 from convlab.markov import PipelineSpec
 from convlab.regions import classify, recommended_timeout
-from convlab.simulate import SimConfig, sample_geometric
+from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
     CcdfSeries,
     ci_width_99,
@@ -46,6 +46,8 @@ COUNTS = [
     ("SimConfig.success_cutoff", "success_cutoff",
      lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
     ("PipelineSpec.stages", "stages", lambda v: PipelineSpec(0.5, stages=v), 3, 1),
+    ("run_sweep.trials", "trials",
+     lambda v: [batch.totals.tolist() for batch in run_sweep([0.5, 0.2], v, 1)], 7, 1),
     ("cross_validate.trials", "trials", lambda v: cross_validate(0.5, v, 1), 1000, 1000),
     ("cross_validate.max_steps", "max_steps",
      lambda v: cross_validate(0.5, 1000, 1, max_steps=v), 30, 1),
@@ -70,6 +72,7 @@ COUNTS = [
 DELTAS = [
     ("SimConfig", "delta", lambda d: SimConfig(d)),
     ("sample_geometric", "delta", lambda d: sample_geometric(d, 0.5)),
+    ("run_sweep", "delta", lambda d: run_sweep([0.5, d], 7, 1)),
     ("PipelineSpec", "delta", lambda d: PipelineSpec(d)),
     ("BernoulliOracle", "delta", lambda d: BernoulliOracle(d)),
     ("cross_validate", "delta", lambda d: cross_validate(d, 1000, 1)),
@@ -120,6 +123,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(harness, "_stepwise_totals", refuse)
     monkeypatch.setattr(harness, "run_batch", refuse)
+    monkeypatch.setattr(simulate, "run_batch", refuse)
     monkeypatch.setattr(harness, "generator", refuse)
     monkeypatch.setattr(calibrate, "generator", refuse)
     monkeypatch.setattr(np, "sort", refuse)
