@@ -5,10 +5,6 @@ class ConvlabError(Exception):
     """Base class for toolkit-specific failures."""
 
 
-class NotAbsorbingError(ConvlabError):
-    """Some transient state cannot reach any absorbing state."""
-
-
 class SingularMatrixError(ConvlabError):
     """The analysis system (I - transient block) is numerically singular."""
 

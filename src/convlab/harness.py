@@ -3,8 +3,10 @@
 Where the vectorized engine samples stage sojourns directly, this module
 walks the chain one attempt at a time through a pluggable stage oracle.
 The two paths are statistically equivalent, and cross_validate checks that
-on live runs: identical delta and trial count, independent seeds, then a
-two-sample mean comparison and a variance ratio.
+on live runs of simulate.run_histogram, the engine behind every CLI report:
+identical delta and trial count, independent seeds, then a two-sample mean
+comparison and a variance ratio. The engine's mean and variance come from
+its histogram's exact integer moments (stats.summarize_histogram).
 
 One walker, _walk, runs every trial. It keeps only the attempts per stage
 and the last state.
@@ -28,11 +30,14 @@ import numpy as np
 
 from .errors import TerminalStateError
 from .rng import _validate_count, _validate_delta, child_seed, trial_generators
-# The harness no longer calls generator; it stays importable here because the
-# benchmark's tracer wraps it at this import site (perfbench/layers.py), and
-# its test looks it up on this module with no default.
+# The harness no longer calls generator or run_batch; both stay importable
+# here because the benchmark's tracer wraps them at this import site
+# (perfbench/layers.py), and its test looks them up on this module with no
+# default.
 from .rng import generator  # noqa: F401
-from .simulate import SimConfig, run_batch
+from .simulate import run_batch  # noqa: F401
+from .simulate import SimConfig, run_histogram
+from .stats import summarize_histogram
 
 __all__ = [
     "PipelineState",
@@ -132,7 +137,7 @@ def _stepwise_totals(
 def cross_validate(
     delta: float, trials: int, seed: int, max_steps: int = 1000
 ) -> CrossValidationReport:
-    """Compare stepwise and vectorized runs at one delta.
+    """Compare stepwise runs with run_histogram's at one delta.
 
     Requires trials >= 1000 so the two-sample comparison has power.
     Stepwise and vectorized streams use child seeds 0 and 1 of `seed`.
@@ -144,14 +149,15 @@ def cross_validate(
     vectorized_seed = child_seed(seed, 1)
 
     stepwise, all_converged = _stepwise_totals(delta, trials, stepwise_seed, max_steps)
-    batch = run_batch(
+    histogram = run_histogram(
         SimConfig(delta=delta, stages=PIPELINE_STAGES, trials=trials, seed=vectorized_seed)
     )
+    vectorized = summarize_histogram(histogram)
 
     stepwise_mean = float(stepwise.mean())
-    vectorized_mean = float(batch.totals.mean())
+    vectorized_mean = vectorized.mean
     stepwise_var = float(stepwise.var(ddof=1))
-    vectorized_var = float(batch.totals.var(ddof=1))
+    vectorized_var = vectorized.variance
     difference = stepwise_mean - vectorized_mean
     combined_se = math.sqrt(stepwise_var / trials + vectorized_var / trials)
     z_score = difference / combined_se if combined_se > 0.0 else 0.0

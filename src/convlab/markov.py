@@ -1,15 +1,15 @@
-"""Exact analysis of absorbing Markov chains.
+"""Exact analysis of the retry pipeline's absorbing Markov chain.
 
-Built around the sequential retry pipeline: a chain of stages that each
-retry independently with success probability ``delta`` until they advance,
-ending in a single terminal state. Arbitrary absorbing chains are accepted
-too so results can be cross-checked against brute-force series summation.
+The chain has a run of stages that each retry independently with success
+probability ``delta`` until they advance, ending in a single terminal
+state. build_pipeline_chain gives its transition matrix, and decompose
+accepts no other.
 
 The key quantities all come from the fundamental matrix of the transient
-block Q: expected visit counts N = (I - Q)^-1, expected steps to absorption
-t = N 1 and absorption probabilities B = N R. The pipeline's N[i, j] is 1/delta
-for j >= i (Kemeny & Snell, 1960), and its runtime tail P(still running after
-k steps) is exact in stats.negbin_survival.
+block Q: expected visit counts N = (I - Q)^-1 and expected steps to absorption
+t = N 1. The pipeline's N[i, j] is 1/delta for j >= i (Kemeny & Snell, 1960),
+and its runtime tail P(still running after k steps) is exact in
+stats.negbin_survival.
 
 I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
 Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
@@ -23,12 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotAbsorbingError, SingularMatrixError
+from .errors import SingularMatrixError
 from .rng import _validate_count, _validate_delta
 
 __all__ = [
     "PipelineSpec",
-    "StochasticMatrix",
     "CanonicalDecomposition",
     "ChainAnalysis",
     "build_pipeline_chain",
@@ -39,7 +38,6 @@ __all__ = [
     "failure_counting_expected_steps",
 ]
 
-ROW_SUM_TOLERANCE = 1e-12
 CONDITION_LIMIT = 1e12
 
 
@@ -61,61 +59,17 @@ class PipelineSpec:
 
 
 @dataclass(frozen=True)
-class StochasticMatrix:
-    """Row-stochastic transition matrix with an explicit absorbing-state set.
-
-    Rows must sum to 1 within 1e-12, entries must lie in [0, 1], and every
-    listed absorbing state must have an exact identity row.
-    """
-
-    entries: np.ndarray
-    absorbing_states: frozenset[int]
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if entries.shape[0] == 0:
-            raise ValueError("transition matrix must be non-empty")
-        if np.any(entries < 0.0) or np.any(entries > 1.0):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = entries.sum(axis=1)
-        bad = np.where(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)[0]
-        if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {row_sums[bad[0]]!r}, not 1")
-        absorbing = frozenset(int(i) for i in self.absorbing_states)
-        for i in absorbing:
-            if not 0 <= i < entries.shape[0]:
-                raise ValueError(f"absorbing state {i} out of range")
-            expected = np.zeros(entries.shape[0])
-            expected[i] = 1.0
-            if not np.array_equal(entries[i], expected):
-                raise ValueError(f"absorbing state {i} must have an identity row")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "absorbing_states", absorbing)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class CanonicalDecomposition:
-    """Transient/absorbing partition of a chain, original state order preserved."""
+    """Transient block Q of a chain and its transitions into the absorbing state."""
 
     transient_block: np.ndarray    # transitions among transient states (t x t)
-    absorbing_block: np.ndarray    # transitions from transient into absorbing (t x r)
-    transient_order: tuple[int, ...]
-    absorbing_order: tuple[int, ...]
+    absorbing_block: np.ndarray    # transitions from transient into absorbing (t x 1)
 
     def __post_init__(self) -> None:
         for name in ("transient_block", "absorbing_block"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "transient_order", tuple(self.transient_order))
-        object.__setattr__(self, "absorbing_order", tuple(self.absorbing_order))
 
 
 @dataclass(frozen=True)
@@ -128,12 +82,11 @@ class ChainAnalysis:
 
     fundamental: np.ndarray        # expected visits: N[i, j] = visits to j from i
     expected_steps: np.ndarray     # steps to absorption from each transient state
-    absorption_probs: np.ndarray   # rows sum to 1: eventual absorber per start state
     spectral_radius: float
     tail_constant: float
 
     def __post_init__(self) -> None:
-        for name in ("fundamental", "expected_steps", "absorption_probs"):
+        for name in ("fundamental", "expected_steps"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -144,52 +97,33 @@ class ChainAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def build_pipeline_chain(spec: PipelineSpec) -> StochasticMatrix:
-    """Transition matrix of the retry pipeline: stay with 1-delta, advance with delta."""
+def build_pipeline_chain(spec: PipelineSpec) -> np.ndarray:
+    """Transition matrix of the retry pipeline: stay with 1-delta, advance with
+    delta; the last state, Verified, is absorbing."""
     size = spec.stages + 1
     entries = np.zeros((size, size))
     for i in range(spec.stages):
         entries[i, i] = 1.0 - spec.delta
         entries[i, i + 1] = spec.delta
     entries[spec.stages, spec.stages] = 1.0
-    return StochasticMatrix(entries, frozenset({spec.stages}))
+    return entries
 
 
-def decompose(matrix: StochasticMatrix) -> CanonicalDecomposition:
-    """Partition states into transient and absorbing, preserving index order.
+def decompose(entries: np.ndarray) -> CanonicalDecomposition:
+    """Split a pipeline chain into Q (stages x stages) and its column into Verified.
 
-    Raises NotAbsorbingError if the chain has no absorbing state or some
-    transient state cannot reach one.
+    Raises ValueError on any matrix that is not build_pipeline_chain's for its
+    own delta (entry [0, 1]) and stage count (size - 1).
     """
-    absorbing = sorted(matrix.absorbing_states)
-    if not absorbing:
-        raise NotAbsorbingError("chain has no absorbing states")
-    transient = [i for i in range(matrix.n) if i not in matrix.absorbing_states]
-
-    # reverse reachability: walk incoming edges starting from the absorbing set
-    reached = set(absorbing)
-    frontier = list(absorbing)
-    incoming = matrix.entries.T > 0.0
-    while frontier:
-        state = frontier.pop()
-        for src in np.where(incoming[state])[0]:
-            if src not in reached:
-                reached.add(int(src))
-                frontier.append(int(src))
-    stranded = [i for i in transient if i not in reached]
-    if stranded:
-        raise NotAbsorbingError(
-            f"transient states {stranded} cannot reach any absorbing state"
+    entries = np.asarray(entries, dtype=float)
+    if entries.ndim != 2 or min(entries.shape) < 2:
+        raise ValueError(f"a pipeline chain is at least 2 x 2, got shape {entries.shape}")
+    spec = PipelineSpec(float(entries[0, 1]), entries.shape[0] - 1)
+    if not np.array_equal(entries, build_pipeline_chain(spec)):
+        raise ValueError(
+            f"matrix is not the pipeline chain for delta {spec.delta!r}, stages {spec.stages}"
         )
-
-    transient_block = matrix.entries[np.ix_(transient, transient)]
-    absorbing_block = matrix.entries[np.ix_(transient, absorbing)]
-    return CanonicalDecomposition(
-        transient_block=transient_block,
-        absorbing_block=absorbing_block,
-        transient_order=tuple(transient),
-        absorbing_order=tuple(absorbing),
-    )
+    return CanonicalDecomposition(entries[:-1, :-1], entries[:-1, -1:])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +139,6 @@ def spectral_radius(transient_block: np.ndarray) -> float:
     so its radius reads 1.0 for delta <= 2**-54 (5.6e-17).
     """
     matrix = np.asarray(transient_block, dtype=float)
-    if matrix.size == 0:
-        return 0.0
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("spectral radius needs a square matrix")
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
@@ -221,10 +153,8 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
     """Invert (I - Q) once and derive everything from the fundamental matrix.
 
     Raises SingularMatrixError when (I - Q) is singular or its 1-norm condition
-    number is not below 1e12, and ValueError when there are no transient states.
+    number is not below 1e12.
     """
-    if not decomposition.transient_order:
-        raise ValueError("decomposition has no transient states to analyze")
     transient = decomposition.transient_block
     # GTH diagonal: the exit mass of each state, not the cancelling 1 - Q[i, i]
     off_diagonal = transient - np.diag(np.diag(transient))
@@ -243,13 +173,11 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
             f"analysis system condition number {condition:.3e} is not below {CONDITION_LIMIT:.0e}"
         )
     expected_steps = fundamental.sum(axis=1)
-    absorption_probs = fundamental @ decomposition.absorbing_block
     radius = spectral_radius(transient)
     tail_constant = float(np.abs(fundamental).sum(axis=1).max())
     return ChainAnalysis(
         fundamental=fundamental,
         expected_steps=expected_steps,
-        absorption_probs=absorption_probs,
         spectral_radius=radius,
         tail_constant=tail_constant,
     )

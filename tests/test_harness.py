@@ -1,6 +1,7 @@
 """Stepwise state machine and its agreement with the vectorized engine."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from convlab.harness import (
     step,
 )
 from convlab.rng import SEED_MODULUS, child_seed, generator
+from convlab.simulate import SimConfig, run_histogram
 
 # chi-square critical value at 0.999 for 15 degrees of freedom
 CHI_CRIT_999_DOF15 = 37.69729822451265
@@ -139,7 +141,7 @@ def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monk
         raise AssertionError("cross_validate started work on an invalid count")
 
     monkeypatch.setattr(harness, "_stepwise_totals", no_work)
-    monkeypatch.setattr(harness, "run_batch", no_work)
+    monkeypatch.setattr(harness, "run_histogram", no_work)
     with pytest.raises(ValueError, match=message):
         cross_validate(0.5, **{"trials": 1000, "seed": 1, **kwargs})
 
@@ -156,7 +158,7 @@ def test_cross_validate_rejects_max_steps_below_one_before_any_work(max_steps, m
         raise AssertionError("cross_validate started work on an invalid max_steps")
 
     monkeypatch.setattr(harness, "_stepwise_totals", no_work)
-    monkeypatch.setattr(harness, "run_batch", no_work)
+    monkeypatch.setattr(harness, "run_histogram", no_work)
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
         cross_validate(0.5, trials=1000, seed=1, max_steps=max_steps)
 
@@ -180,6 +182,8 @@ def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
 
 # cross_validate(delta, 10_000, child_seed(42, i)) for the i-th of 0.1/0.5/0.9,
 # as computed by the one-stream-per-trial loop before trial_generators existed.
+# The vectorized moments are the correctly rounded exact ones, 1 ulp off
+# numpy's float64 variance at 0.9.
 PINNED_REPORTS = [
     CrossValidationReport(
         0.1, 10000, 39.7459, 355.3202652165216, 40.0177, 348.90167687768775,
@@ -192,9 +196,9 @@ PINNED_REPORTS = [
         0.994721405797507, True,
     ),
     CrossValidationReport(
-        0.9, 10000, 4.4414, 0.492615301530153, 4.4394, 0.49517715771577164,
+        0.9, 10000, 4.4414, 0.492615301530153, 4.4394, 0.4951771577157716,
         0.0019999999999997797, 0.009938774870404926, 0.20123204580830753,
-        0.9948263845662099, True,
+        0.99482638456621, True,
     ),
 ]
 
@@ -203,6 +207,21 @@ PINNED_REPORTS = [
 def test_cross_validate_reports_are_pinned(index):
     pinned = PINNED_REPORTS[index]
     assert cross_validate(pinned.delta, 10_000, child_seed(42, index)) == pinned
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_vectorized_moments_are_the_engines_exact_moments(index):
+    """The vectorized side is run_histogram, the engine behind the CLI, on
+    child seed 1; its mean and variance are the exact rationals, rounded once."""
+    delta, seed = PINNED_REPORTS[index].delta, child_seed(42, index)
+    report = cross_validate(delta, 10_000, seed)
+    histogram = run_histogram(SimConfig(delta=delta, trials=10_000, seed=child_seed(seed, 1)))
+    values, counts = histogram.values.tolist(), histogram.counts.tolist()
+    n = sum(counts)
+    s1 = sum(v * c for v, c in zip(values, counts))
+    s2 = sum(v * v * c for v, c in zip(values, counts))
+    assert report.vectorized_mean == float(Fraction(s1, n))
+    assert report.vectorized_variance == float(Fraction(n * s2 - s1 * s1, n * (n - 1)))
 
 
 # ---------------------------------------------------------------------------

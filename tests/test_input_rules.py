@@ -122,7 +122,7 @@ def no_work(monkeypatch):
         raise AssertionError("work started on an invalid argument")
 
     monkeypatch.setattr(harness, "_stepwise_totals", refuse)
-    monkeypatch.setattr(harness, "run_batch", refuse)
+    monkeypatch.setattr(harness, "run_histogram", refuse)
     monkeypatch.setattr(simulate, "run_batch", refuse)
     monkeypatch.setattr(harness, "generator", refuse)
     monkeypatch.setattr(calibrate, "generator", refuse)

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convlab.errors import NotAbsorbingError, SingularMatrixError
+from convlab.errors import SingularMatrixError
 from convlab.markov import (
     CanonicalDecomposition,
     PipelineSpec,
-    StochasticMatrix,
     analyze,
     build_pipeline_chain,
     decompose,
@@ -138,30 +137,8 @@ def test_triangular_spectral_radius_is_the_largest_diagonal_entry(size, lower, d
 
 
 # ---------------------------------------------------------------------------
-# decomposition and absorption
+# decomposition
 # ---------------------------------------------------------------------------
-
-
-def random_absorbing_chain(rng, transients, absorbings):
-    """Dense random chain where every transient row leaks somewhere."""
-    n = transients + absorbings
-    entries = np.zeros((n, n))
-    for i in range(transients):
-        row = rng.random(n) + 0.05
-        entries[i] = row / row.sum()
-    for j in range(transients, n):
-        entries[j, j] = 1.0
-    return StochasticMatrix(entries, frozenset(range(transients, n)))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_absorption_probabilities_sum_to_one(seed):
-    rng = np.random.default_rng(seed)
-    matrix = random_absorbing_chain(rng, transients=3, absorbings=2)
-    analysis = analyze(decompose(matrix))
-    assert analysis.absorption_probs.sum(axis=1) == pytest.approx(
-        np.ones(3), abs=1e-10
-    )
 
 
 def power_norm(decomposition, k):
@@ -218,32 +195,48 @@ def test_truncated_series_at_high_delta():
     assert truncated_series_residual(0.9) < 1e-6
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_truncated_series_on_random_chain(seed):
-    rng = np.random.default_rng(seed)
-    matrix = random_absorbing_chain(rng, transients=3, absorbings=2)
-    decomposition = decompose(matrix)
-    analysis = analyze(decomposition)
-    total = truncated_series(decomposition, analysis)
-    assert total == pytest.approx(analysis.expected_steps, abs=1e-6)
-
-
 def test_decompose_orders_states():
     chain = build_pipeline_chain(PipelineSpec(0.5))
     decomposition = decompose(chain)
-    assert decomposition.transient_order == (0, 1, 2, 3)
-    assert decomposition.absorbing_order == (4,)
     assert decomposition.transient_block.shape == (4, 4)
     assert decomposition.absorbing_block.shape == (4, 1)
 
 
-def test_decompose_all_absorbing_yields_empty_blocks():
-    matrix = StochasticMatrix(np.eye(3), frozenset({0, 1, 2}))
-    decomposition = decompose(matrix)
-    assert decomposition.transient_order == ()
-    assert decomposition.transient_block.shape == (0, 0)
+def dense_chain_with_two_absorbers():
+    """Three transient states whose rows leak into both absorbing states 3 and 4."""
+    rows = np.random.default_rng(0).random((3, 5)) + 0.05
+    return np.vstack([rows / rows.sum(axis=1, keepdims=True), np.eye(5)[3:]])
+
+
+def tampered_pipeline(stay, advance):
+    """The delta = 0.5 pipeline with stage 1's row set to (stay, advance)."""
+    entries = build_pipeline_chain(PipelineSpec(0.5))
+    entries[1, 1:3] = stay, advance
+    return entries
+
+
+NOT_PIPELINE_CHAINS = {
+    "row-sums-to-0.9": [[0.5, 0.4], [0.0, 1.0]],
+    "negative-entry": [[1.2, -0.2], [0.0, 1.0]],
+    "no-identity-row": [[0.5, 0.5], [0.1, 0.9]],
+    "no-absorbing-state": [[0.5, 0.5], [0.5, 0.5]],
+    "stranded-transients": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    "all-absorbing": np.eye(3),
+    "two-absorbers": dense_chain_with_two_absorbers(),
+    "second-delta": tampered_pipeline(0.75, 0.25),
+    "row-sums-to-0.9-inside-a-pipeline": tampered_pipeline(0.4, 0.5),
+    "one-state": [[1.0]],
+    "not-square": [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
+    "not-a-matrix": [0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "entries", NOT_PIPELINE_CHAINS.values(), ids=list(NOT_PIPELINE_CHAINS)
+)
+def test_decompose_refuses_any_matrix_but_the_pipeline_chain(entries):
     with pytest.raises(ValueError):
-        analyze(decomposition)
+        decompose(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +282,19 @@ def test_pipeline_spec_takes_numpy_integer_stages():
     assert pipeline_expected_steps(spec)[0] == 6.0
 
 
-def test_stochastic_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        StochasticMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]), frozenset({1}))
-    with pytest.raises(ValueError):
-        StochasticMatrix(np.array([[1.2, -0.2], [0.0, 1.0]]), frozenset({1}))
-    with pytest.raises(ValueError):
-        # declared absorbing row must be an exact identity row
-        StochasticMatrix(np.array([[0.5, 0.5], [0.1, 0.9]]), frozenset({1}))
-
-
-def test_decompose_rejects_chain_without_absorbing_state():
-    entries = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(NotAbsorbingError):
-        decompose(StochasticMatrix(entries, frozenset()))
-
-
-def test_decompose_rejects_stranded_transients():
-    # states 0 and 1 swap forever and never reach the absorbing state 2
-    entries = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(NotAbsorbingError):
-        decompose(StochasticMatrix(entries, frozenset({2})))
-
-
 def test_analyze_rejects_numerically_closed_loop():
-    # leak of 1e-14 keeps reachability intact but I - Q is hopeless
+    # states 0 and 1 swap with a leak of 1e-14 out of state 0: I - Q is hopeless
     leak = 1e-14
-    entries = np.array(
-        [
-            [0.0, 1.0 - leak, leak],
-            [1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
+    decomposition = CanonicalDecomposition(
+        np.array([[0.0, 1.0 - leak], [1.0, 0.0]]), np.array([[leak], [0.0]])
     )
-    decomposition = decompose(StochasticMatrix(entries, frozenset({2})))
     with pytest.raises(SingularMatrixError):
         analyze(decomposition)
 
 
 def test_analyze_rejects_exactly_singular_system():
     # a transient state that keeps all its mass has no exit: I - Q is singular
-    decomposition = CanonicalDecomposition(np.array([[1.0]]), np.array([[0.0]]), (0,), (1,))
+    decomposition = CanonicalDecomposition(np.array([[1.0]]), np.array([[0.0]]))
     with pytest.raises(SingularMatrixError):
         analyze(decomposition)
 
@@ -339,12 +304,6 @@ def test_analyze_rejects_step_counts_past_the_float_range(delta):
     decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
     with pytest.raises(SingularMatrixError, match="condition number inf is not below 1e"):
         analyze(decomposition)
-
-
-def test_decompose_counts_every_positive_entry_as_an_edge():
-    delta = 5e-324  # the smallest subnormal still reaches the absorbing state
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta, stages=2)))
-    assert decomposition.transient_order == (0, 1)
 
 
 def test_analysis_records_norm_choice():
