@@ -10,8 +10,9 @@ Subcommand catalog:
 Exit codes: 0 success, 2 invalid flags (including an exact delta below about
 stages * 5.6e-309, where the expected step counts overflow a double, and a
 sweep with fewer than 2 trials per delta), 3 I/O failure, 4 resource budget
-exceeded (including exact above 2**20 stages) or out of memory, 5 malformed
-event line, 6 out-of-order event stream.
+exceeded (including exact above 2**20 stages and a sweep range of more than
+2**20 deltas) or out of memory, 5 malformed event line, 6 out-of-order event
+stream.
 
 Every command is deterministic for a fixed flag set: reports are written
 atomically (temp file then rename) and contain no wall-clock fields. Time and
@@ -28,9 +29,12 @@ import json
 import math
 import os
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
+from typing import Callable
 
 from ._io import write_text_atomic
 from .calibrate import MonitorConfig, monitor_columns, parse_event_columns
@@ -44,7 +48,7 @@ from .errors import (
 from .markov import PipelineSpec, failure_counting_expected_steps, pipeline_expected_steps
 from .regions import classify
 from .rng import validate_seed
-from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, _measured, run_histogram, sweep_configs
+from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, run_histogram, sweep_configs
 from .stats import (
     histogram_ccdf,
     histogram_mean,
@@ -67,6 +71,7 @@ DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
 RANGE_TOLERANCE = Decimal("1e-9")  # in steps
 EXACT_STAGE_BUDGET = 2**20  # exact holds and prints one float per stage
+DELTA_RANGE_BUDGET = 2**20  # values a start:end:step range may expand to
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,6 +107,11 @@ def parse_deltas(text: str) -> list[float]:
         last = end + step * RANGE_TOLERANCE
         if last < start:
             raise ValueError(f"range end {end} is below start {start}")
+        count = int((last - start) / step) + 1
+        if count > DELTA_RANGE_BUDGET:
+            raise ResourceLimitError(
+                f"range {text!r} holds {count} deltas, budget is {DELTA_RANGE_BUDGET}"
+            )
         values = []
         index = 0
         while (value := start + index * step) <= last:
@@ -141,6 +151,25 @@ def _emit(text: str, out: str, sidecar: dict | None = None) -> None:
     if sidecar is not None:
         files[Path(f"{out}.meta.json")] = json.dumps(sidecar, indent=2) + "\n"
     write_text_atomic(files)
+
+
+def _measured(work: Callable[[], list]) -> tuple[list, float, int]:
+    """Run `work`; return its result, wall seconds and peak traced bytes.
+    Tracing is left as it was found, also when `work` raises."""
+    was_tracing = tracemalloc.is_tracing()
+    if was_tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = work()
+        runtime = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, max(runtime, 1e-9), int(peak)
 
 
 def _info(message: str) -> None:
@@ -289,7 +318,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     _emit("\n".join(lines) + "\n", args.out, sidecar)
     if fitted is not None:
         kept = [k for k, prob in series.points if prob > floor_prob]
-        corrected = prefactor_corrected_slope(fitted, kept, config.delta, config.stages)
+        corrected = prefactor_corrected_slope(fitted, kept, config.delta)
         _info(
             f"tail: fitted slope {fitted:.6f}, prefactor-corrected {corrected:.6f}, "
             f"theoretical {theoretical:.6f}"

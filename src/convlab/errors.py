@@ -10,7 +10,8 @@ class SingularMatrixError(ConvlabError):
 
 
 class ResourceLimitError(ConvlabError):
-    """A request exceeds a fixed budget: simulation cells or exact's stages."""
+    """A request exceeds a fixed budget: simulation cells, exact's stages or a
+    sweep range's deltas."""
 
 
 class InsufficientDataError(ConvlabError):

@@ -14,7 +14,7 @@ and the last state.
 Each trial draws from its own stream derived from (seed, trial index), so
 any single trial can be reproduced without replaying its predecessors:
 trial i of a cross-validation run is _walk(oracle,
-generator(child_seed(stepwise_seed, i)), max_steps). The cross-validation
+generator(child_seed(stepwise_seed, i)), MAX_STEPS). The cross-validation
 loop takes those streams from rng.trial_generators, which derives their keys
 in bulk, instead of building each one with generator(child_seed(...)).
 """
@@ -60,6 +60,7 @@ class PipelineState(enum.IntEnum):
 
 
 PIPELINE_STAGES = len(PipelineState) - 1
+MAX_STEPS = 1000  # attempts per cross-validation trial; a longer walk is unconverged
 _SUCCESSOR = dict(zip(PipelineState, list(PipelineState)[1:]))
 
 
@@ -134,24 +135,21 @@ def _stepwise_totals(
     return totals, converged
 
 
-def cross_validate(
-    delta: float, trials: int, seed: int, max_steps: int = 1000
-) -> CrossValidationReport:
+def cross_validate(delta: float, trials: int, seed: int) -> CrossValidationReport:
     """Compare stepwise runs with run_histogram's at one delta.
 
-    Requires trials >= 1000 so the two-sample comparison has power.
-    Stepwise and vectorized streams use child seeds 0 and 1 of `seed`.
+    Requires trials >= 1000 so the two-sample comparison has power. Each
+    stepwise trial walks at most MAX_STEPS attempts; all_converged says
+    whether every one reached VERIFIED. Stepwise and vectorized streams use
+    child seeds 0 and 1 of `seed`.
     """
     delta = _validate_delta(delta)
     trials = _validate_count("trials", trials, 1000)
-    max_steps = _validate_count("max_steps", max_steps, 1)
     stepwise_seed = child_seed(seed, 0)
     vectorized_seed = child_seed(seed, 1)
 
-    stepwise, all_converged = _stepwise_totals(delta, trials, stepwise_seed, max_steps)
-    histogram = run_histogram(
-        SimConfig(delta=delta, stages=PIPELINE_STAGES, trials=trials, seed=vectorized_seed)
-    )
+    stepwise, all_converged = _stepwise_totals(delta, trials, stepwise_seed, MAX_STEPS)
+    histogram = run_histogram(SimConfig(delta=delta, trials=trials, seed=vectorized_seed))
     vectorized = summarize_histogram(histogram)
 
     stepwise_mean = float(stepwise.mean())

@@ -5,13 +5,14 @@ per-stage iteration count is geometric on {1, 2, ...} and the trial total is
 their sum.
 
 One kernel draws every batch: `_sojourn_chunk` gives rows
-[c * CHUNK_ROWS, ...) of a batch's (trials x stages) sojourns. It sets a
-Philox to the batch's start state, advances it c * CHUNK_ROWS * stages / 4
-counter steps (one step yields four doubles; Salmon et al., SC'11), draws
-the chunk's uniforms into a float block and inverts the geometric CDF in
-place, leaving the sojourns there as exact integers. A chunk is thus a pure
+[c * CHUNK_ROWS, ...) of a batch's (trials x 4) sojourns, one column per
+stage of the paper's pipeline (SimConfig.stages). It sets a Philox to the
+batch's start state, advances it c * CHUNK_ROWS counter steps (one step
+yields four doubles, one trial's draws; Salmon et al., SC'11), draws the
+chunk's uniforms into a float block and inverts the geometric CDF in place,
+leaving the sojourns there as exact integers. A chunk is thus a pure
 function of (config, chunk index), and its rows are the ones a single
-(trials x stages) draw would give.
+(trials x 4) draw would give.
 
 Two folds consume it. `run_batch`, the per-trial reference, draws chunk after
 chunk on the calling thread and casts each into its int64 sojourn matrix.
@@ -33,10 +34,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
-import tracemalloc
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -68,29 +67,30 @@ __all__ = [
 
 DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
-CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel; a multiple of 4
+CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
 INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_WORKERS = 2              # threads run_histogram counts on, at most: each adds a
                               # chunk's buffers (~3 MiB) to the peak RSS, and 2 is the
                               # count benchmarked (BENCH_15.json)
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One batch request: pipeline shape, trial count, seed, success cutoff."""
+    """One batch request: success probability, trial count, seed, success cutoff.
 
+    Every batch runs the paper's four stages; `stages` is that constant, not
+    a field.
+    """
+
+    stages: ClassVar[int] = 4
     delta: float
-    stages: int = 4
     trials: int = 10_000
     seed: int = 0
     success_cutoff: int = DEFAULT_SUCCESS_CUTOFF
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _validate_delta(self.delta))
-        object.__setattr__(self, "stages", _validate_count("stages", self.stages, 1))
         if self.delta < 1.0:
             # the longest sojourn inversion can draw, at u = 2**-53
             longest = 53 * math.log(2) / -math.log1p(-self.delta)
@@ -109,20 +109,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Immutable results of one batch plus its resource metrics.
-
-    The metrics stay on the reference path only: the benchmark's tracer
-    (perfbench/layers.py) reads them from traced runs, and acceptance
-    criterion 10 checks them over the reference campaign.
-    """
+    """Immutable per-trial results of one batch. Like TotalsHistogram it is
+    plain data: a caller that wants time or memory measures the call."""
 
     sojourns: np.ndarray            # (trials, stages) int64, iterations per stage
     totals: np.ndarray              # (trials,) int64 row sums
     success_flags: np.ndarray       # (trials,) bool, totals <= success_cutoff
     config: SimConfig
-    runtime_seconds: float
-    throughput_trials_per_second: float
-    peak_memory_bytes: int
 
     def __post_init__(self) -> None:
         sojourns = np.asarray(self.sojourns)
@@ -136,8 +129,6 @@ class TrialBatch:
             raise ValueError("totals must equal sojourn row sums")
         if not np.array_equal(flags, totals <= self.config.success_cutoff):
             raise ValueError("success flags must equal totals <= success_cutoff")
-        if self.runtime_seconds <= 0.0:
-            raise ValueError("runtime_seconds must be positive")
         for name, arr in (("sojourns", sojourns), ("totals", totals), ("success_flags", flags)):
             arr = arr.copy() if not arr.flags.owndata else arr
             arr.setflags(write=False)
@@ -266,7 +257,7 @@ def _sojourn_chunk(
         chunk.fill(1.0)
         return chunk
     rng.bit_generator.state = start
-    rng.bit_generator.advance(first * config.stages // 4)  # 4 doubles per counter step
+    rng.bit_generator.advance(first)  # a counter step gives 4 doubles: one trial's draws
     rng.random(out=chunk)
     np.subtract(1.0, chunk, out=chunk)   # map [0, 1) to (0, 1]
     np.log(chunk, out=chunk)
@@ -298,53 +289,21 @@ def _check_budget(config: SimConfig) -> None:
         )
 
 
-def _measured(work: Callable[[], T]) -> tuple[T, float, int]:
-    """Run `work`; return its result, wall seconds and peak traced bytes.
-    Tracing is left as it was found, also when `work` raises."""
-    was_tracing = tracemalloc.is_tracing()
-    if was_tracing:
-        tracemalloc.reset_peak()
-    else:
-        tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        result = work()
-        runtime = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    return result, max(runtime, 1e-9), int(peak)
-
-
 def run_batch(config: SimConfig) -> TrialBatch:
     """Generate one batch; raises ResourceLimitError before allocating past budget."""
     _check_budget(config)
     rng = generator(config.seed)
     start = rng.bit_generator.state
-
-    def generate() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sojourns = np.empty((config.trials, config.stages), dtype=np.int64)
-        totals = np.empty(config.trials, dtype=np.int64)
-        rows = min(CHUNK_ROWS, config.trials)
-        block, column = np.empty(rows * config.stages), np.empty(rows, dtype=np.int64)
-        for index in range(_chunk_count(config)):
-            chunk = _sojourn_chunk(config, start, index, rng, block)
-            span = slice(index * CHUNK_ROWS, index * CHUNK_ROWS + len(chunk))
-            sojourns[span] = chunk
-            _row_sums(chunk, totals[span], column)
-        return sojourns, totals, totals <= config.success_cutoff
-
-    (sojourns, totals, flags), runtime, peak = _measured(generate)
-    return TrialBatch(
-        sojourns=sojourns,
-        totals=totals,
-        success_flags=flags,
-        config=config,
-        runtime_seconds=runtime,
-        throughput_trials_per_second=config.trials / runtime,
-        peak_memory_bytes=peak,
-    )
+    sojourns = np.empty((config.trials, config.stages), dtype=np.int64)
+    totals = np.empty(config.trials, dtype=np.int64)
+    rows = min(CHUNK_ROWS, config.trials)
+    block, column = np.empty(rows * config.stages), np.empty(rows, dtype=np.int64)
+    for index in range(_chunk_count(config)):
+        chunk = _sojourn_chunk(config, start, index, rng, block)
+        span = slice(index * CHUNK_ROWS, index * CHUNK_ROWS + len(chunk))
+        sojourns[span] = chunk
+        _row_sums(chunk, totals[span], column)
+    return TrialBatch(sojourns, totals, totals <= config.success_cutoff, config)
 
 
 def _chunk_count(config: SimConfig) -> int:

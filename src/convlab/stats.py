@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, InsufficientTailError
 from .rng import _validate_count, _validate_delta, _validate_real
-from .simulate import TotalsHistogram, TrialBatch, count_totals
+from .simulate import SimConfig, TotalsHistogram, TrialBatch, count_totals
 
 __all__ = [
     "SummaryStats",
@@ -132,19 +132,18 @@ def histogram_mean(values: np.ndarray, counts: np.ndarray) -> float:
     return total / n
 
 
-def conservative_factor(delta: float, mean: float, stages: int = 4) -> float:
-    """Theory-to-observation ratio (stages / delta) / mean."""
+def conservative_factor(delta: float, mean: float) -> float:
+    """Theory-to-observation ratio (4 / delta) / mean; 4 is SimConfig.stages."""
     delta = _validate_delta(delta)
-    stages = _validate_count("stages", stages, 1)
     mean = _validate_real("mean", mean)
     if mean <= 0.0:
         raise ValueError(f"mean must be positive, got {mean}")
-    return (stages / delta) / mean
+    return (SimConfig.stages / delta) / mean
 
 
-def iteration_efficiency(mean: float, stages: int = 4) -> float:
-    """Fraction of iterations that advanced the pipeline: stages / mean."""
-    stages = _validate_count("stages", stages, 1)
+def iteration_efficiency(mean: float) -> float:
+    """Fraction of iterations that advanced the pipeline: 4 / mean."""
+    stages = SimConfig.stages
     mean = _validate_real("mean", mean)
     if mean < stages:
         raise ValueError(
@@ -183,8 +182,8 @@ def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
         variance=variance,
         p99=p99,
         success_rate=histogram.success_rate,
-        conservative_factor=conservative_factor(config.delta, mean, config.stages),
-        efficiency=iteration_efficiency(mean, config.stages),
+        conservative_factor=conservative_factor(config.delta, mean),
+        efficiency=iteration_efficiency(mean),
         ci_width_99=ci_width_99(std, n),
     )
 
@@ -221,17 +220,15 @@ def tail_decay_fit(series: CcdfSeries, floor_prob: float) -> float:
     return float(slope)
 
 
-def prefactor_corrected_slope(
-    fitted_slope: float, ks: Sequence[int], delta: float, stages: int = 4
-) -> float:
+def prefactor_corrected_slope(fitted_slope: float, ks: Sequence[int], delta: float) -> float:
     """A log-linear tail slope fitted over `ks`, less its polynomial-prefactor part.
 
-    The exact survival is (1-delta)**k times a degree-(stages-1) polynomial in
-    k, so the OLS slope of ln negbin_survival over the same `ks` exceeds
-    ln(1-delta) by the prefactor's share. OLS is linear in its response, so
-    subtracting that share from `fitted_slope` estimates ln(1-delta). A line
-    needs at least two distinct `ks`, and delta below 1: at delta = 1 the
-    tail ends at k = stages and ln(1-delta) is -inf.
+    The exact survival of a four-stage total is (1-delta)**k times a cubic
+    polynomial in k, so the OLS slope of ln negbin_survival over the same `ks`
+    exceeds ln(1-delta) by the prefactor's share. OLS is linear in its
+    response, so subtracting that share from `fitted_slope` estimates
+    ln(1-delta). A line needs at least two distinct `ks`, and delta below 1:
+    at delta = 1 the tail ends at k = 4 and ln(1-delta) is -inf.
     """
     fitted_slope = _validate_real("fitted_slope", fitted_slope)
     ks = [_validate_count("ks", k, None) for k in ks]
@@ -241,7 +238,7 @@ def prefactor_corrected_slope(
     delta = _validate_delta(delta)
     if delta == 1.0:
         raise ValueError(f"delta must be below 1 for a finite tail slope, got {delta}")
-    exact = np.log([negbin_survival(k, stages, delta) for k in ks])
+    exact = np.log([negbin_survival(k, SimConfig.stages, delta) for k in ks])
     exact_slope, _ = np.polyfit(np.asarray(ks, dtype=float), exact, 1)
     return fitted_slope - (float(exact_slope) - math.log1p(-delta))
 

@@ -11,11 +11,12 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import CAMPAIGN_SEED, DELTAS, negbin_pmf, prefactor_corrected_slope
+from conftest import CAMPAIGN_SEED, CAMPAIGN_TRIALS, DELTAS, negbin_pmf, prefactor_corrected_slope
 from convlab.calibrate import MonitorConfig, replay, synthesize_drift_stream
 from convlab.cli import main
 from convlab.harness import cross_validate
@@ -218,11 +219,18 @@ def test_criterion_09_drift_detection():
     verdict(9, "drift flagged within 150 attempts; quiet streams stay quiet", check)
 
 
-def test_criterion_10_throughput_and_memory(campaign_batches):
+def test_criterion_10_throughput_and_memory():
     def check():
-        trials = sum(batch.config.trials for batch in campaign_batches)
-        runtime = sum(batch.runtime_seconds for batch in campaign_batches)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            batches = run_sweep(DELTAS, CAMPAIGN_TRIALS, CAMPAIGN_SEED)
+            runtime = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trials = sum(batch.config.trials for batch in batches)
         assert trials / runtime >= 100_000
-        assert max(b.peak_memory_bytes for b in campaign_batches) < 128 * 2**20
+        assert peak < 128 * 2**20
 
     verdict(10, "generation throughput and campaign memory ceiling", check)

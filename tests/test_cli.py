@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from conftest import prefactor_corrected_slope
 from convlab import cli
 from convlab.calibrate import MonitorConfig, event_to_json, synthesize_drift_stream
 from convlab.cli import main, parse_deltas
+from convlab.errors import ResourceLimitError
 from convlab.regions import classify
 
 
@@ -360,6 +362,75 @@ def test_sweep_resource_limit(capsys):
     )
     assert code == 4
     assert "error:" in err
+
+
+def test_sweep_range_past_the_delta_budget_exits_4_before_building(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--deltas", "0.5:1:1e-12", "--trials", "10", "--out", str(out)
+    )
+    assert code == 4
+    assert stdout == ""
+    assert err == "error: range '0.5:1:1e-12' holds 500000000001 deltas, budget is 1048576\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_range_of_exactly_the_delta_budget_is_built(monkeypatch):
+    monkeypatch.setattr(cli, "DELTA_RANGE_BUDGET", 3)
+    assert parse_deltas("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+    with pytest.raises(ResourceLimitError, match="holds 4 deltas, budget is 3"):
+        parse_deltas("0.1:0.4:0.1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.1:0.9:0.1",
+        "0.5:0.5:0.1",
+        "0:1:0.3",
+        "0.05:0.95:0.05",
+        "1e-6:1e-5:1e-6",
+        "0.2:0.1999999999:0.1",   # end below start, within the tolerance
+        "0.1:0.2:0.1000000001",   # the last value passes end by a tolerance
+        "0.1:0.2:0.1000000002",   # ... and here by more than one
+        "0.1:0.8999999999:0.1",
+        "0.001:1:0.001",
+    ],
+)
+def test_the_delta_budget_counts_what_the_range_builds(text, monkeypatch):
+    built = parse_deltas(text)
+    monkeypatch.setattr(cli, "DELTA_RANGE_BUDGET", len(built))
+    assert parse_deltas(text) == built
+    monkeypatch.setattr(cli, "DELTA_RANGE_BUDGET", len(built) - 1)
+    with pytest.raises(
+        ResourceLimitError, match=f"holds {len(built)} deltas, budget is {len(built) - 1}$"
+    ):
+        parse_deltas(text)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("tracing", [False, True], ids=["untraced", "traced"])
+def test_measured_leaves_tracing_as_it_was_found(tracing, raises):
+    def work():
+        block = bytearray(2**20)
+        if raises:
+            raise MemoryError("out of memory")
+        return [len(block)]
+
+    if tracing:
+        tracemalloc.start()
+    try:
+        if raises:
+            with pytest.raises(MemoryError, match="out of memory"):
+                cli._measured(work)
+        else:
+            result, runtime, peak = cli._measured(work)
+            assert result == [2**20]
+            assert runtime > 0.0
+            assert peak >= 2**20
+        assert tracemalloc.is_tracing() is tracing
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

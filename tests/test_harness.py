@@ -23,6 +23,7 @@ from convlab.harness import (
 )
 from convlab.rng import SEED_MODULUS, child_seed, generator
 from convlab.simulate import SimConfig, run_histogram
+from convlab.stats import conservative_factor, iteration_efficiency, prefactor_corrected_slope
 
 # chi-square critical value at 0.999 for 15 degrees of freedom
 CHI_CRIT_999_DOF15 = 37.69729822451265
@@ -132,8 +133,6 @@ def test_cross_validate_requires_enough_trials():
     [
         ({"trials": 1000.0}, "trials must be an integer, got float"),
         ({"trials": np.float64(2000.0)}, "trials must be an integer, got float64"),
-        ({"max_steps": 2.5}, "max_steps must be an integer, got float"),
-        ({"max_steps": True}, "max_steps must be an integer, got bool"),
     ],
 )
 def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monkeypatch):
@@ -146,21 +145,42 @@ def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monk
         cross_validate(0.5, **{"trials": 1000, "seed": 1, **kwargs})
 
 
-def test_numpy_integer_counts_run_like_ints():
-    assert cross_validate(0.5, np.int64(1000), 1, max_steps=np.int32(1000)) == (
-        cross_validate(0.5, 1000, 1)
-    )
+def test_the_pipeline_has_the_papers_four_stages_in_one_place():
+    assert harness.PIPELINE_STAGES == SimConfig.stages == 4
 
 
-@pytest.mark.parametrize("max_steps", [0, -1])
-def test_cross_validate_rejects_max_steps_below_one_before_any_work(max_steps, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("cross_validate started work on an invalid max_steps")
+def test_cross_validate_walks_at_most_max_steps(monkeypatch):
+    caps = []
 
-    monkeypatch.setattr(harness, "_stepwise_totals", no_work)
-    monkeypatch.setattr(harness, "run_histogram", no_work)
-    with pytest.raises(ValueError, match="max_steps must be >= 1"):
-        cross_validate(0.5, trials=1000, seed=1, max_steps=max_steps)
+    def stepwise(delta, trials, seed, max_steps):
+        caps.append(max_steps)
+        return np.full(trials, 4, dtype=np.int64), True
+
+    monkeypatch.setattr(harness, "_stepwise_totals", stepwise)
+    cross_validate(1.0, 1000, 1)
+    assert caps == [harness.MAX_STEPS] == [1000]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SimConfig(delta=0.5, stages=4),
+        lambda: cross_validate(0.5, 1000, 1, max_steps=1000),
+        lambda: conservative_factor(0.5, 8.0, stages=4),
+        lambda: iteration_efficiency(8.0, stages=4),
+        lambda: prefactor_corrected_slope(-0.7, [10, 20], 0.5, stages=4),
+    ],
+    ids=[
+        "SimConfig.stages",
+        "cross_validate.max_steps",
+        "conservative_factor.stages",
+        "iteration_efficiency.stages",
+        "prefactor_corrected_slope.stages",
+    ],
+)
+def test_the_fixed_stage_count_and_step_cap_are_not_arguments(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
 
 
 @settings(max_examples=60, deadline=None)

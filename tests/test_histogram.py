@@ -53,14 +53,9 @@ trial_counts = st.sampled_from(
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    delta=deltas,
-    stages=st.integers(min_value=1, max_value=6),
-    trials=trial_counts,
-    seed=st.sampled_from([0, 2**64 - 1]),
-)
-def test_histogram_path_matches_reference(delta, stages, trials, seed):
-    config = SimConfig(delta=delta, stages=stages, trials=trials, seed=seed)
+@given(delta=deltas, trials=trial_counts, seed=st.sampled_from([0, 2**64 - 1]))
+def test_histogram_path_matches_reference(delta, trials, seed):
+    config = SimConfig(delta=delta, trials=trials, seed=seed)
     totals = run_batch(config).totals
     histogram = run_histogram(config)
     values, counts = np.unique(totals, return_counts=True)
@@ -97,7 +92,6 @@ def test_histogram_path_matches_reference(delta, stages, trials, seed):
 configs = st.builds(
     SimConfig,
     delta=deltas,
-    stages=st.integers(min_value=1, max_value=6),
     trials=trial_counts,
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
@@ -105,9 +99,9 @@ configs = st.builds(
 
 @settings(max_examples=30, deadline=None)
 @given(config=configs, count=st.integers(2, 4))
-@example(config=SimConfig(delta=1.0, stages=6, trials=CHUNK_ROWS + 1), count=4)
+@example(config=SimConfig(delta=1.0, trials=CHUNK_ROWS + 1), count=4)
 @example(  # totals past DENSE_LIMIT, whose overflow merges across workers
-    config=SimConfig(delta=1e-6, stages=1, trials=2 * CHUNK_ROWS + 3, seed=7), count=4
+    config=SimConfig(delta=1e-6, trials=2 * CHUNK_ROWS + 3, seed=7), count=4
 )
 def test_the_worker_count_does_not_change_the_histograms(config, count):
     threads = threading.active_count()
@@ -135,9 +129,8 @@ def test_the_worker_count_does_not_change_the_histograms(config, count):
 
 def test_workers_claim_every_chunk_exactly_once_under_frequent_switches():
     # more workers than cores, a thread switch every microsecond and many
-    # one-stage chunks: a chunk claimed twice or never would change some count
-    batches = [SimConfig(delta=0.5, stages=1, trials=40 * CHUNK_ROWS + 1, seed=seed)
-               for seed in range(3)]
+    # chunks: a chunk claimed twice or never would change some count
+    batches = [SimConfig(delta=0.5, trials=40 * CHUNK_ROWS + 1, seed=seed) for seed in range(3)]
     batches.append(SimConfig(delta=0.2, trials=3 * CHUNK_ROWS + 1, seed=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -196,8 +189,8 @@ def test_summarize_histogram_requires_two_trials():
 
 
 def test_histogram_of_degenerate_delta_draws_nothing():
-    histogram = run_histogram(SimConfig(delta=1.0, stages=3, trials=CHUNK_ROWS + 7))
-    assert histogram.values.tolist() == [3]
+    histogram = run_histogram(SimConfig(delta=1.0, trials=CHUNK_ROWS + 7))
+    assert histogram.values.tolist() == [4]
     assert histogram.counts.tolist() == [CHUNK_ROWS + 7]
     assert histogram.success_rate == 1.0
 

@@ -22,6 +22,7 @@ from convlab.calibrate import MonitorConfig, synthesize_drift_stream
 from convlab.harness import BernoulliOracle, cross_validate
 from convlab.markov import PipelineSpec
 from convlab.regions import classify, recommended_timeout
+from convlab.rng import child_seed, trial_generators
 from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
     CcdfSeries,
@@ -41,7 +42,6 @@ SERIES = CcdfSeries(((4, 0.5), (5, 0.25), (6, 0.125), (7, 0.0625)))
 
 # (id, argument name, call with the count, a valid count, the count's minimum)
 COUNTS = [
-    ("SimConfig.stages", "stages", lambda v: SimConfig(0.5, stages=v), 3, 1),
     ("SimConfig.trials", "trials", lambda v: SimConfig(0.5, trials=v), 7, 1),
     ("SimConfig.success_cutoff", "success_cutoff",
      lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
@@ -49,23 +49,20 @@ COUNTS = [
     ("run_sweep.trials", "trials",
      lambda v: [batch.totals.tolist() for batch in run_sweep([0.5, 0.2], v, 1)], 7, 1),
     ("cross_validate.trials", "trials", lambda v: cross_validate(0.5, v, 1), 1000, 1000),
-    ("cross_validate.max_steps", "max_steps",
-     lambda v: cross_validate(0.5, 1000, 1, max_steps=v), 30, 1),
     ("negbin_survival.stages", "stages", lambda v: negbin_survival(9, v, 0.5), 3, 1),
     ("negbin_cdf.stages", "stages", lambda v: negbin_cdf(9, v, 0.5), 3, 1),
     ("negbin_quantile.stages", "stages", lambda v: negbin_quantile(0.9, v, 0.5), 3, 1),
     ("recommended_timeout.stages", "stages",
      lambda v: recommended_timeout(0.5, 0.01, stages=v), 3, 1),
     ("ci_width_99.n", "sample size", lambda v: ci_width_99(2.0, v), 16, 1),
-    ("conservative_factor.stages", "stages",
-     lambda v: conservative_factor(0.5, 8.0, stages=v), 4, 1),
-    ("iteration_efficiency.stages", "stages",
-     lambda v: iteration_efficiency(8.0, stages=v), 4, 1),
     ("MonitorConfig.window_size", "window_size",
      lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
     ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
     ("synthesize_drift_stream.attempts", "segment attempts",
      lambda v: synthesize_drift_stream([(0.5, 10), (0.2, v)], seed=4), 12, 1),
+    ("child_seed.index", "stream index", lambda v: child_seed(3, v), 5, 0),
+    ("trial_generators.count", "count",
+     lambda v: [rng.random() for rng in trial_generators(3, v)], 3, 0),
 ]
 
 # (id, argument name, call with the delta)

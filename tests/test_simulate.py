@@ -3,7 +3,7 @@
 import math
 import threading
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,17 +71,20 @@ def test_vectorized_sampler_agrees_with_scalar():
     assert np.array_equal(batch.sojourns, expected)
 
 
-@pytest.mark.parametrize("stages", [1, 4, 6])
+@pytest.mark.parametrize("chunk_rows", [5, 6, 7, CHUNK_ROWS])
 @pytest.mark.parametrize("delta", [1.0, 0.3, 1e-9])
-def test_chunked_sojourns_equal_one_inverted_draw(delta, stages):
+def test_chunked_sojourns_equal_one_inverted_draw(delta, chunk_rows, monkeypatch):
     """Over three chunks, the last one partial, run_batch and run_histogram
-    see the sojourns that inverting one (trials x stages) draw gives."""
-    trials = 2 * CHUNK_ROWS + 3
-    config = SimConfig(delta=delta, stages=stages, trials=trials, seed=5)
+    see the sojourns that inverting one (trials x 4) draw gives. A chunk
+    starts `first` counter steps in, one per trial, so its size need not
+    be a multiple of 4."""
+    monkeypatch.setattr(simulate, "CHUNK_ROWS", chunk_rows)
+    trials = 2 * chunk_rows + 3
+    config = SimConfig(delta=delta, trials=trials, seed=5)
     if delta == 1.0:
-        expected = np.ones((trials, stages), dtype=np.int64)
+        expected = np.ones((trials, 4), dtype=np.int64)
     else:
-        draws = generator(5).random((trials, stages))
+        draws = generator(5).random((trials, 4))
         expected = np.ceil(np.log(1.0 - draws) / np.log1p(-delta)).astype(np.int64)
         expected = np.maximum(expected, 1)
     assert np.array_equal(run_batch(config).sojourns, expected)
@@ -101,9 +104,9 @@ def test_zero_draw_inverts_to_one_iteration():
         def random(self, out):
             out.fill(0.0)
 
-    config = SimConfig(delta=0.3, stages=2, trials=3)
-    chunk = _sojourn_chunk(config, None, 0, ZeroDraws(), np.empty(6))
-    assert np.array_equal(chunk, np.ones((3, 2), dtype=np.int64))
+    config = SimConfig(delta=0.3, trials=3)
+    chunk = _sojourn_chunk(config, None, 0, ZeroDraws(), np.empty(12))
+    assert np.array_equal(chunk, np.ones((3, 4), dtype=np.int64))
 
 
 def test_degenerate_delta_one():
@@ -134,19 +137,17 @@ def test_totals_and_flags_are_consistent():
     assert np.all(batch.sojourns >= 1)
 
 
-def test_resource_metrics_recorded():
-    batch = run_batch(SimConfig(delta=0.5, trials=100, seed=1))
-    assert batch.runtime_seconds > 0.0
-    assert batch.throughput_trials_per_second > 0.0
-    assert batch.peak_memory_bytes >= 0
-
-
 def test_batch_arrays_are_read_only():
     batch = run_batch(SimConfig(delta=0.5, trials=10, seed=1))
     with pytest.raises(ValueError):
         batch.sojourns[0, 0] = 5
     with pytest.raises(ValueError):
         batch.totals[0] = 5
+
+
+def test_trial_batch_is_plain_data_without_self_timing():
+    names = [field.name for field in fields(TrialBatch)]
+    assert names == ["sojourns", "totals", "success_flags", "config"]
 
 
 def test_trial_batch_rejects_inconsistent_fields():
@@ -159,9 +160,6 @@ def test_trial_batch_rejects_inconsistent_fields():
             totals=broken_totals,
             success_flags=batch.success_flags,
             config=batch.config,
-            runtime_seconds=batch.runtime_seconds,
-            throughput_trials_per_second=batch.throughput_trials_per_second,
-            peak_memory_bytes=batch.peak_memory_bytes,
         )
 
 
@@ -174,7 +172,6 @@ def test_trial_batch_rejects_inconsistent_fields():
         {"success_cutoff": 3},  # cannot finish four stages in three iterations
         {"seed": -1},
         {"seed": 2**64},
-        {"stages": 0},
     ],
 )
 def test_sim_config_validation(kwargs):
@@ -184,7 +181,7 @@ def test_sim_config_validation(kwargs):
         SimConfig(**base)
 
 
-@pytest.mark.parametrize("name", ["trials", "stages", "success_cutoff"])
+@pytest.mark.parametrize("name", ["trials", "success_cutoff"])
 @pytest.mark.parametrize("value", [100.0, 4.0, True, np.float64(100.0)])
 def test_sim_config_counts_must_be_integers(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -196,7 +193,6 @@ def test_sim_config_counts_must_be_integers(name, value):
     [
         ({"trials": 0}, "trials must be >= 1, got 0"),
         ({"trials": -3}, "trials must be >= 1, got -3"),
-        ({"stages": -1}, "stages must be >= 1, got -1"),
         ({"success_cutoff": 3}, "success_cutoff must be >= stages, got 3"),
     ],
 )
@@ -207,16 +203,13 @@ def test_sim_config_out_of_range_counts_keep_their_messages(kwargs, message):
 
 def test_sim_config_takes_numpy_integers_as_ints():
     config = SimConfig(
-        delta=0.5, stages=np.int32(3), trials=np.int64(70), seed=np.uint64(9),
-        success_cutoff=np.uint16(40),
+        delta=0.5, trials=np.int64(70), seed=np.uint64(9), success_cutoff=np.uint16(40),
     )
-    assert asdict(config) == {
-        "delta": 0.5, "stages": 3, "trials": 70, "seed": 9, "success_cutoff": 40,
-    }
+    assert asdict(config) == {"delta": 0.5, "trials": 70, "seed": 9, "success_cutoff": 40}
     assert all(type(value) is int for value in list(asdict(config).values())[1:])
     assert np.array_equal(
         run_batch(config).totals,
-        run_batch(SimConfig(delta=0.5, stages=3, trials=70, seed=9, success_cutoff=40)).totals,
+        run_batch(SimConfig(delta=0.5, trials=70, seed=9, success_cutoff=40)).totals,
     )
 
 
@@ -292,11 +285,10 @@ def test_delta_whose_totals_overflow_int64_is_rejected(run, delta):
         run(SimConfig(delta=delta, trials=5, seed=1))
 
 
-def test_smallest_delta_depends_on_stage_count():
-    SimConfig(delta=1.6e-17, stages=4)
-    SimConfig(delta=1.5e-17, stages=1)
-    with pytest.raises(ValueError):
-        SimConfig(delta=1.5e-17, stages=4)
+def test_smallest_delta_is_where_four_stage_totals_overflow():
+    SimConfig(delta=1.6e-17)
+    with pytest.raises(ValueError, match="4-stage totals would overflow int64"):
+        SimConfig(delta=1.5e-17)
     assert run_histogram(SimConfig(delta=1e-7, trials=5, seed=1)).values.min() > 4
 
 
