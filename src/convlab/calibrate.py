@@ -17,7 +17,9 @@ observe() is the streaming monitor and the reference for the columnar one:
 parse_event_columns() reads a whole stream into numpy columns, and
 monitor_columns() computes every window estimate from one cumulative sum and
 the hysteresis from a walk over threshold crossings, one step per action.
-replay() and `convlab monitor` run the columnar monitor.
+replay() and `convlab monitor` run the columnar monitor; replay() returns
+the CalibrationAction that observe() would return for each event, and the
+trace CSV adds the region of its estimate.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "CalibrationAction",
     "MonitorConfig",
     "CalibrationState",
-    "TraceEntry",
     "EventColumns",
     "MonitorTrace",
     "observe",
@@ -187,16 +188,8 @@ def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
     return CalibrationAction(ActionKind.NO_ACTION, estimate, event.timestamp)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    timestamp: int
-    delta_hat: float | None
-    region: RegionLabel | None
-    action: ActionKind
-
-
-def replay(events: Iterable[StageEvent], config: MonitorConfig) -> list[TraceEntry]:
-    """Run a fresh monitor over an event stream; one trace entry per event."""
+def replay(events: Iterable[StageEvent], config: MonitorConfig) -> list[CalibrationAction]:
+    """Run a fresh monitor over an event stream; observe()'s action per event."""
     return monitor_columns(EventColumns.from_events(events), config).entries()
 
 
@@ -249,22 +242,21 @@ class MonitorTrace:
     fired: np.ndarray
     kinds: tuple[ActionKind, ...]
 
-    def entries(self) -> list[TraceEntry]:
-        """The trace as replay() returns it, one TraceEntry per event."""
-        actions = [ActionKind.NO_ACTION] * self.ts.size
+    def entries(self) -> list[CalibrationAction]:
+        """The trace as replay() returns it, one CalibrationAction per event."""
+        kinds = [ActionKind.NO_ACTION] * self.ts.size
         for index, kind in zip(self.fired.tolist(), self.kinds):
-            actions[index] = kind
-        trace = []
-        for stamp, successes, fill, defined, action in zip(
-            self.ts.tolist(), self.successes.tolist(), self.fill.tolist(),
-            self.defined.tolist(), actions,
-        ):
-            estimate = successes / fill if defined else None
-            trace.append(TraceEntry(stamp, estimate, _region(estimate), action))
-        return trace
+            kinds[index] = kind
+        return [
+            CalibrationAction(kind, successes / fill if defined else None, stamp)
+            for stamp, successes, fill, defined, kind in zip(
+                self.ts.tolist(), self.successes.tolist(), self.fill.tolist(),
+                self.defined.tolist(), kinds,
+            )
+        ]
 
     def csv(self) -> str:
-        """The trace CSV, byte for byte what trace_entry_csv_row writes per entry.
+        """The trace CSV, byte for byte what trace_entry_csv_row writes per action.
 
         Each row is the timestamp plus a suffix looked up, through a plain
         list, in a table over the distinct (fill, successes) pairs, fewer than
@@ -474,8 +466,9 @@ def parse_event_columns(text: str) -> EventColumns:
 TRACE_CSV_HEADER = "ts,delta_hat,region,action"
 
 
-def trace_entry_csv_row(entry: TraceEntry) -> str:
+def trace_entry_csv_row(action: CalibrationAction) -> str:
     """Fixed-format trace row; undefined estimate and region are empty fields."""
-    estimate = "" if entry.delta_hat is None else f"{entry.delta_hat:.6f}"
-    region = "" if entry.region is None else entry.region.value
-    return f"{entry.timestamp},{estimate},{region},{entry.action.value}"
+    estimate = action.delta_hat
+    if estimate is None:
+        return f"{action.timestamp},,,{action.kind.value}"
+    return f"{action.timestamp},{estimate:.6f},{_region(estimate).value},{action.kind.value}"

@@ -112,12 +112,7 @@ def parse_deltas(text: str) -> list[float]:
             raise ResourceLimitError(
                 f"range {text!r} holds {count} deltas, budget is {DELTA_RANGE_BUDGET}"
             )
-        values = []
-        index = 0
-        while (value := start + index * step) <= last:
-            values.append(float(value))
-            index += 1
-        return values
+        return [float(start + index * step) for index in range(count)]
     pieces = [piece for piece in text.split(",") if piece.strip()]
     if not pieces:
         raise ValueError("no deltas given")

@@ -9,7 +9,8 @@ The key quantities all come from the fundamental matrix of the transient
 block Q: expected visit counts N = (I - Q)^-1 and expected steps to absorption
 t = N 1. The pipeline's N[i, j] is 1/delta for j >= i (Kemeny & Snell, 1960),
 and its runtime tail P(still running after k steps) is exact in
-stats.negbin_survival.
+stats.negbin_survival. analyze also reports the spectral radius of Q, its
+largest absolute eigenvalue.
 
 I - Q takes each state's exit mass as its diagonal (the GTH rule of Grassmann,
 Taksar & Heyman, 1985), never 1 - Q[i, i], so the pipeline analysis holds for
@@ -33,7 +34,6 @@ __all__ = [
     "build_pipeline_chain",
     "decompose",
     "analyze",
-    "spectral_radius",
     "pipeline_expected_steps",
     "failure_counting_expected_steps",
 ]
@@ -127,24 +127,6 @@ def decompose(entries: np.ndarray) -> CanonicalDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# spectral radius
-# ---------------------------------------------------------------------------
-
-
-def spectral_radius(transient_block: np.ndarray) -> float:
-    """Largest absolute eigenvalue of the transient block, from the eigensolver.
-
-    LAPACK returns a triangular block's diagonal exactly while its largest
-    entry lies in [6.7e-139, 1.5e138]. The pipeline block stores fl(1 - delta),
-    so its radius reads 1.0 for delta <= 2**-54 (5.6e-17).
-    """
-    matrix = np.asarray(transient_block, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("spectral radius needs a square matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
-
-
-# ---------------------------------------------------------------------------
 # analysis
 # ---------------------------------------------------------------------------
 
@@ -172,14 +154,15 @@ def analyze(decomposition: CanonicalDecomposition) -> ChainAnalysis:
         raise SingularMatrixError(
             f"analysis system condition number {condition:.3e} is not below {CONDITION_LIMIT:.0e}"
         )
-    expected_steps = fundamental.sum(axis=1)
-    radius = spectral_radius(transient)
-    tail_constant = float(np.abs(fundamental).sum(axis=1).max())
+    # The spectral radius comes from the eigensolver. LAPACK returns a
+    # triangular block's diagonal exactly while its largest entry lies in
+    # [6.7e-139, 1.5e138]. The pipeline block stores fl(1 - delta), so its
+    # radius reads 1.0 for delta <= 2**-54 (5.6e-17).
     return ChainAnalysis(
         fundamental=fundamental,
-        expected_steps=expected_steps,
-        spectral_radius=radius,
-        tail_constant=tail_constant,
+        expected_steps=fundamental.sum(axis=1),
+        spectral_radius=float(np.max(np.abs(np.linalg.eigvals(transient)))),
+        tail_constant=float(np.abs(fundamental).sum(axis=1).max()),
     )
 
 

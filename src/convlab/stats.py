@@ -9,7 +9,8 @@ element at 1-based rank ceil(p/100 * n), computed exactly on the decimal
 form of p (so p = 7 of 100 values is rank 7, not 8). Standard deviation and
 variance use the n-1 denominator. Both moments come from exact integer power
 sums, so the mean and the variance are the correctly rounded values of the
-exact rationals.
+exact rationals; the derived ratios of SummaryStats are computed from them
+in summarize_histogram.
 
 The analytic reference for trial totals is the negative binomial law for
 `stages` successes at probability delta, pmf
@@ -42,9 +43,6 @@ __all__ = [
     "histogram_percentiles",
     "histogram_ccdf",
     "nearest_rank_percentile",
-    "conservative_factor",
-    "iteration_efficiency",
-    "ci_width_99",
     "ccdf",
     "tail_decay_fit",
     "prefactor_corrected_slope",
@@ -58,7 +56,13 @@ CI_99_MULTIPLIER = 2.576
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean, spread, p99 and derived ratios for one batch of totals."""
+    """Mean, spread, p99 and derived ratios for one batch of totals.
+
+    With 4 = SimConfig.stages: conservative_factor is the theory-to-observation
+    ratio (4 / delta) / mean, efficiency the fraction 4 / mean of iterations
+    that advanced the pipeline, and ci_width_99 the half-width of the 99%
+    normal-approximation interval for the mean.
+    """
 
     mean: float
     std: float
@@ -132,35 +136,6 @@ def histogram_mean(values: np.ndarray, counts: np.ndarray) -> float:
     return total / n
 
 
-def conservative_factor(delta: float, mean: float) -> float:
-    """Theory-to-observation ratio (4 / delta) / mean; 4 is SimConfig.stages."""
-    delta = _validate_delta(delta)
-    mean = _validate_real("mean", mean)
-    if mean <= 0.0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    return (SimConfig.stages / delta) / mean
-
-
-def iteration_efficiency(mean: float) -> float:
-    """Fraction of iterations that advanced the pipeline: 4 / mean."""
-    stages = SimConfig.stages
-    mean = _validate_real("mean", mean)
-    if mean < stages:
-        raise ValueError(
-            f"mean {mean} below stages {stages}; totals cannot average below stages"
-        )
-    return stages / mean
-
-
-def ci_width_99(std: float, n: int) -> float:
-    """Half-width of the 99% normal-approximation interval for the mean."""
-    n = _validate_count("sample size", n, 1)
-    std = _validate_real("std", std)
-    if std < 0.0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    return CI_99_MULTIPLIER * std / math.sqrt(n)
-
-
 def summarize(batch: TrialBatch) -> SummaryStats:
     """Full summary of a batch's totals; requires at least 2 trials."""
     return summarize_histogram(TotalsHistogram.from_batch(batch))
@@ -182,9 +157,9 @@ def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
         variance=variance,
         p99=p99,
         success_rate=histogram.success_rate,
-        conservative_factor=conservative_factor(config.delta, mean),
-        efficiency=iteration_efficiency(mean),
-        ci_width_99=ci_width_99(std, n),
+        conservative_factor=SimConfig.stages / config.delta / mean,
+        efficiency=SimConfig.stages / mean,
+        ci_width_99=CI_99_MULTIPLIER * std / math.sqrt(n),
     )
 
 

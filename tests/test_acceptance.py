@@ -197,9 +197,9 @@ def test_criterion_09_drift_detection():
                 [(0.7, 500), (0.2, 500)], seed=9000 + index
             )
             fired = [
-                entry.timestamp
-                for entry in replay(events, config)
-                if entry.action.value != "NoAction"
+                action.timestamp
+                for action in replay(events, config)
+                if action.kind.value != "NoAction"
             ]
             if fired and 500 <= fired[0] <= 650:
                 detected += 1
@@ -209,9 +209,9 @@ def test_criterion_09_drift_detection():
         for index in range(100):
             events = synthesize_drift_stream([(0.7, 1000)], seed=5000 + index)
             fired = [
-                entry
-                for entry in replay(events, config)
-                if entry.action.value != "NoAction"
+                action
+                for action in replay(events, config)
+                if action.kind.value != "NoAction"
             ]
             quiet += not fired
         assert quiet >= 95

@@ -15,7 +15,6 @@ from convlab.calibrate import (
     EventColumns,
     MonitorConfig,
     StageEvent,
-    TraceEntry,
     event_to_json,
     monitor_columns,
     observe,
@@ -143,7 +142,7 @@ def test_policy_cycle_and_cursor_clamp():
     )
     outcomes = ([True] * 4 + [False] * 4) * 4
     trace = replay(events_from_outcomes(outcomes), config)
-    fired = [(t.timestamp, t.action) for t in trace if t.action is not ActionKind.NO_ACTION]
+    fired = [(t.timestamp, t.kind) for t in trace if t.kind is not ActionKind.NO_ACTION]
     assert fired == [
         (6, ActionKind.ALERT),
         (14, ActionKind.CONTEXT_RESET),
@@ -156,7 +155,7 @@ def test_no_actions_between_trigger_and_rearm():
     config = MonitorConfig(window_size=10, min_samples=3)
     outcomes = [True] * 10 + [False] * 40  # estimate decays to 0 and stays there
     trace = replay(events_from_outcomes(outcomes), config)
-    fired = [t for t in trace if t.action is not ActionKind.NO_ACTION]
+    fired = [t for t in trace if t.kind is not ActionKind.NO_ACTION]
     assert len(fired) == 1  # disarmed after the first trigger, never rearmed
 
 
@@ -169,7 +168,7 @@ def test_hysteresis_property_on_random_streams(seed):
     outcomes = list(rng.random(600) < 0.32)
     trace = replay(events_from_outcomes(outcomes), config)
     fire_indices = [
-        i for i, t in enumerate(trace) if t.action is not ActionKind.NO_ACTION
+        i for i, t in enumerate(trace) if t.kind is not ActionKind.NO_ACTION
     ]
     for first, second in zip(fire_indices, fire_indices[1:]):
         between = [t.delta_hat for t in trace[first + 1 : second]]
@@ -239,8 +238,8 @@ def test_synthetic_stream_validation():
 def test_drift_stream_triggers_once_near_change_point():
     events = synthesize_drift_stream([(0.7, 500), (0.2, 500)], seed=9001)
     trace = replay(events, MonitorConfig())
-    fired = [t for t in trace if t.action is not ActionKind.NO_ACTION]
-    assert [(t.timestamp, t.action) for t in fired] == [(573, ActionKind.ALERT)]
+    fired = [t for t in trace if t.kind is not ActionKind.NO_ACTION]
+    assert [(t.timestamp, t.kind) for t in fired] == [(573, ActionKind.ALERT)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +308,7 @@ def test_trace_csv_row_with_action():
 def reference_trace(events, config):
     """The event-by-event trace: one observe() call per event."""
     state = CalibrationState(config=config)
-    trace = []
-    for event in events:
-        action = observe(state, event)
-        trace.append(TraceEntry(event.timestamp, state.delta_hat, state.region, action.kind))
-    return trace
+    return [observe(state, event) for event in events]
 
 
 @st.composite
@@ -347,7 +342,7 @@ def test_columnar_trace_equals_event_by_event_trace(case):
     trace = monitor_columns(EventColumns.from_events(events), config)
     assert trace.entries() == expected
     assert replay(events, config) == expected
-    rows = [TRACE_CSV_HEADER] + [trace_entry_csv_row(entry) for entry in expected]
+    rows = [TRACE_CSV_HEADER] + [trace_entry_csv_row(action) for action in expected]
     assert trace.csv() == "\n".join(rows) + "\n"
 
 

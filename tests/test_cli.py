@@ -10,13 +10,25 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import prefactor_corrected_slope
 from convlab import cli
-from convlab.calibrate import MonitorConfig, event_to_json, synthesize_drift_stream
+from convlab.calibrate import (
+    TRACE_CSV_HEADER,
+    ActionKind,
+    CalibrationState,
+    MonitorConfig,
+    event_to_json,
+    observe,
+    synthesize_drift_stream,
+    trace_entry_csv_row,
+)
 from convlab.cli import main, parse_deltas
 from convlab.errors import ResourceLimitError
 from convlab.regions import classify
@@ -60,6 +72,30 @@ def test_parse_deltas_takes_values_as_given():
     assert parse_deltas("1.23456789e-9,0.5") == [1.23456789e-9, 0.5]
     # decimal steps, and the end tolerance scales with the step
     assert parse_deltas("1e-13:3e-13:1e-13") == [1e-13, 2e-13, 3e-13]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    start=st.floats(0, 1),
+    step=st.floats(1e-12, 1),
+    steps=st.integers(0, 200),
+    # the end sits this many steps past the grid value `steps`, so the
+    # 1e-9-step tolerance falls just below, on or just above a grid value
+    offset=st.sampled_from(["0", "1e-9", "-1e-9", "-1.000001e-9", "-0.999999e-9", "0.5"])
+    | st.floats(-1, 1).map(repr),
+)
+def test_parse_deltas_range_is_the_grid_up_to_the_tolerant_end(start, step, steps, offset):
+    """In parse_deltas' decimal arithmetic: the range is start + i * step for
+    i below its count, the last of them is at most end + step * 1e-9, and the
+    next one would exceed it."""
+    start_d, step_d = Decimal(repr(start)), Decimal(repr(step))
+    end = float(start_d + (steps + Decimal(offset)) * step_d)
+    bound = Decimal(repr(end)) + step_d * Decimal("1e-9")
+    assume(bound >= start_d)
+    values = parse_deltas(f"{start!r}:{end!r}:{step!r}")
+    count = len(values)
+    assert values == [float(start_d + i * step_d) for i in range(count)]
+    assert start_d + (count - 1) * step_d <= bound < start_d + count * step_d
 
 
 @pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:0.5:0.1", "0.1:0.5:nan"])
@@ -536,6 +572,32 @@ def test_monitor_reports_drift(tmp_path, capsys):
     assert len(actions) == 1
     assert actions[0].startswith("573,")
     assert "1 actions" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        # the drift-monitor benchmark's flags, which spell out the defaults
+        ["--window", "100", "--min-samples", "30", "--trigger", "0.3", "--rearm", "0.35"],
+    ],
+    ids=["defaults", "benchmark-flags"],
+)
+def test_monitor_trace_equals_observe_at_the_cli_window(tmp_path, capsys, flags):
+    """A 20k-event stream that drifts down and recovers; at seed 5 the monitor
+    triggers, re-arms within the drift and triggers again. The trace CSV is
+    observe()'s action per event."""
+    events = synthesize_drift_stream([(0.5, 7000), (0.2, 6000), (0.5, 7000)], seed=5)
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(event_to_json(event) + "\n" for event in events))
+    code, out, _ = run_cli(capsys, "monitor", "--input", str(path), *flags)
+    assert code == 0
+    state = CalibrationState(config=MonitorConfig())
+    actions = [observe(state, event) for event in events]
+    assert sum(action.kind is not ActionKind.NO_ACTION for action in actions) >= 2
+    assert out == "".join(
+        f"{row}\n" for row in [TRACE_CSV_HEADER, *map(trace_entry_csv_row, actions)]
+    )
 
 
 def test_monitor_reads_stdin(tmp_path, capsys, monkeypatch):

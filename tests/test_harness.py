@@ -23,7 +23,7 @@ from convlab.harness import (
 )
 from convlab.rng import SEED_MODULUS, child_seed, generator
 from convlab.simulate import SimConfig, run_histogram
-from convlab.stats import conservative_factor, iteration_efficiency, prefactor_corrected_slope
+from convlab.stats import prefactor_corrected_slope
 
 # chi-square critical value at 0.999 for 15 degrees of freedom
 CHI_CRIT_999_DOF15 = 37.69729822451265
@@ -166,15 +166,11 @@ def test_cross_validate_walks_at_most_max_steps(monkeypatch):
     [
         lambda: SimConfig(delta=0.5, stages=4),
         lambda: cross_validate(0.5, 1000, 1, max_steps=1000),
-        lambda: conservative_factor(0.5, 8.0, stages=4),
-        lambda: iteration_efficiency(8.0, stages=4),
         lambda: prefactor_corrected_slope(-0.7, [10, 20], 0.5, stages=4),
     ],
     ids=[
         "SimConfig.stages",
         "cross_validate.max_steps",
-        "conservative_factor.stages",
-        "iteration_efficiency.stages",
         "prefactor_corrected_slope.stages",
     ],
 )

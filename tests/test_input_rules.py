@@ -26,10 +26,7 @@ from convlab.rng import child_seed, trial_generators
 from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
     CcdfSeries,
-    ci_width_99,
-    conservative_factor,
     histogram_percentiles,
-    iteration_efficiency,
     nearest_rank_percentile,
     negbin_cdf,
     negbin_quantile,
@@ -54,7 +51,6 @@ COUNTS = [
     ("negbin_quantile.stages", "stages", lambda v: negbin_quantile(0.9, v, 0.5), 3, 1),
     ("recommended_timeout.stages", "stages",
      lambda v: recommended_timeout(0.5, 0.01, stages=v), 3, 1),
-    ("ci_width_99.n", "sample size", lambda v: ci_width_99(2.0, v), 16, 1),
     ("MonitorConfig.window_size", "window_size",
      lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
     ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
@@ -75,7 +71,6 @@ DELTAS = [
     ("cross_validate", "delta", lambda d: cross_validate(d, 1000, 1)),
     ("classify", "delta", lambda d: classify(d)),
     ("recommended_timeout", "delta", lambda d: recommended_timeout(d, 0.01)),
-    ("conservative_factor", "delta", lambda d: conservative_factor(d, 8.0)),
     ("negbin_survival", "delta", lambda d: negbin_survival(9, 4, d)),
     ("negbin_cdf", "delta", lambda d: negbin_cdf(9, 4, d)),
     ("negbin_quantile", "delta", lambda d: negbin_quantile(0.9, 4, d)),
@@ -90,9 +85,6 @@ REALS = [
     ("sample_geometric.uniform_draw", "uniform draw", lambda v: sample_geometric(0.5, v)),
     ("recommended_timeout.epsilon", "epsilon", lambda v: recommended_timeout(0.5, v)),
     ("negbin_quantile.q", "quantile level", lambda v: negbin_quantile(v, 4, 0.5)),
-    ("ci_width_99.std", "std", lambda v: ci_width_99(v, 10)),
-    ("conservative_factor.mean", "mean", lambda v: conservative_factor(0.5, v)),
-    ("iteration_efficiency.mean", "mean", lambda v: iteration_efficiency(v)),
     ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(SERIES, v)),
     ("prefactor_corrected_slope.fitted_slope", "fitted_slope",
      lambda v: prefactor_corrected_slope(v, [10, 20], 0.5)),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convlab.errors import SingularMatrixError
@@ -17,7 +17,6 @@ from convlab.markov import (
     decompose,
     failure_counting_expected_steps,
     pipeline_expected_steps,
-    spectral_radius,
 )
 from convlab.stats import negbin_survival
 
@@ -108,32 +107,7 @@ def test_failure_counting_convention():
 
 @pytest.mark.parametrize("delta", FINE_DELTAS)
 def test_pipeline_spectral_radius_exact(delta):
-    decomposition = decompose(build_pipeline_chain(PipelineSpec(delta)))
-    assert spectral_radius(decomposition.transient_block) == 1.0 - delta
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    size=st.integers(min_value=1, max_value=8),
-    lower=st.booleans(),
-    data=st.data(),
-)
-def test_triangular_spectral_radius_is_the_largest_diagonal_entry(size, lower, data):
-    """The eigensolver returns a triangular block's diagonal exactly, as long as
-    the largest entry lies in [6.7e-139, 1.5e138]; outside it LAPACK's dgeev
-    rescales the matrix, which can move an eigenvalue by an ulp."""
-    values = data.draw(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6),
-            min_size=size * size,
-            max_size=size * size,
-        )
-    )
-    matrix = np.triu(np.array(values).reshape(size, size))
-    if lower:
-        matrix = matrix.T
-    assume(np.abs(matrix).max() >= 6.7e-139)
-    assert spectral_radius(matrix) == np.max(np.abs(np.diag(matrix)))
+    assert pipeline_analysis(delta).spectral_radius == 1.0 - delta
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,18 @@ from scipy import stats as scipy_stats
 from conftest import DELTAS, decimal_survival, negbin_pmf
 from conftest import prefactor_corrected_slope as reference_corrected_slope
 from convlab.errors import EmptyInputError, InsufficientDataError, InsufficientTailError
-from convlab.simulate import SimConfig, TrialBatch, run_batch
+from convlab.simulate import SimConfig, TotalsHistogram, TrialBatch, run_batch
 from convlab.stats import (
     CcdfSeries,
     ccdf,
-    ci_width_99,
-    conservative_factor,
     histogram_percentiles,
-    iteration_efficiency,
     nearest_rank_percentile,
     negbin_cdf,
     negbin_quantile,
     negbin_survival,
     prefactor_corrected_slope,
     summarize,
+    summarize_histogram,
     tail_decay_fit,
 )
 
@@ -67,6 +65,19 @@ def test_summarize_hand_oracle():
     assert summary.conservative_factor == pytest.approx((4.0 / 0.5) / 6.0)
     assert summary.efficiency == pytest.approx(4.0 / 6.0)
     assert summary.ci_width_99 == pytest.approx(2.576 * math.sqrt(7.0) / math.sqrt(3))
+
+
+def test_summary_ratios_are_the_written_out_expressions():
+    """Totals 4 (x5), 7 (x2), 13 (x3) at delta 0.17: mean 7.3, variance 16.9.
+    At this delta (4 / delta) / mean and 4 / (delta * mean) differ in the last
+    bit, and so do 2.576 * std / sqrt(n) and 2.576 * sqrt(variance / n)."""
+    config = SimConfig(delta=0.17, trials=10, seed=0)
+    histogram = TotalsHistogram(config, np.array([4, 7, 13]), np.array([5, 2, 3]))
+    summary = summarize_histogram(histogram)
+    assert (summary.mean, summary.variance) == (7.3, 16.9)
+    assert summary.conservative_factor == (4 / 0.17) / 7.3
+    assert summary.efficiency == 4 / 7.3
+    assert summary.ci_width_99 == 2.576 * math.sqrt(16.9) / math.sqrt(10)
 
 
 def test_summarize_zero_variance_sample():
@@ -134,27 +145,6 @@ def test_nearest_rank_percentile_validation():
         nearest_rank_percentile(np.array([1.0]), 0)
     with pytest.raises(ValueError):
         nearest_rank_percentile(np.array([1.0]), 101)
-
-
-def test_conservative_factor_values():
-    assert conservative_factor(0.4, 10.058) == pytest.approx(10.0 / 10.058)
-    assert conservative_factor(0.2, 19.914) == pytest.approx(20.0 / 19.914)
-    with pytest.raises(ValueError):
-        conservative_factor(0.5, 0.0)
-
-
-def test_iteration_efficiency_values():
-    assert iteration_efficiency(4.4439) == pytest.approx(4.0 / 4.4439)
-    assert iteration_efficiency(4.0) == 1.0
-    with pytest.raises(ValueError):
-        iteration_efficiency(3.0)  # mean below the stage count is impossible
-
-
-def test_ci_width_values():
-    assert ci_width_99(18.836, 10_000) == pytest.approx(0.48521536)
-    assert ci_width_99(1.0, 4) == pytest.approx(1.288)
-    with pytest.raises(ValueError):
-        ci_width_99(1.0, 0)
 
 
 # ---------------------------------------------------------------------------
