@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convlab.errors import SingularMatrixError
@@ -108,6 +108,48 @@ def test_failure_counting_convention():
 @pytest.mark.parametrize("delta", FINE_DELTAS)
 def test_pipeline_spectral_radius_exact(delta):
     assert pipeline_analysis(delta).spectral_radius == 1.0 - delta
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3, 5, 6, 7, 8])
+@pytest.mark.parametrize("delta", FINE_DELTAS)
+def test_pipeline_spectral_radius_exact_at_every_other_length(delta, stages):
+    """The test above at the lengths that exact --stages also takes: every
+    stage stays with fl(1 - delta), so the radius is that for any length."""
+    assert pipeline_analysis(delta, stages).spectral_radius == 1.0 - delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=8),
+    lower=st.booleans(),
+    data=st.data(),
+)
+def test_triangular_spectral_radius_is_the_largest_diagonal_entry(size, lower, data):
+    """analyze takes the radius from the eigensolver, which returns a triangular
+    block's diagonal exactly, as long as the largest entry lies in
+    [6.7e-139, 1.5e138]; outside it LAPACK's dgeev rescales the matrix, which
+    can move an eigenvalue by an ulp. Each row of the block stays with its
+    diagonal entry and leaves with the rest, at most half of it across the
+    triangle and the remainder into the absorbing state."""
+    stay = np.array(
+        data.draw(st.lists(st.floats(min_value=0.0, max_value=0.95), min_size=size, max_size=size))
+    )
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0),
+                min_size=size * size,
+                max_size=size * size,
+            )
+        )
+    ).reshape(size, size)
+    triangle = np.tril(weights, -1) if lower else np.triu(weights, 1)
+    scale = (1.0 - stay) / 2 / np.maximum(triangle.sum(axis=1), 1.0)
+    transient = np.diag(stay) + triangle * scale[:, None]
+    assume(np.abs(transient).max() >= 6.7e-139)
+    absorbing = 1.0 - transient.sum(axis=1, keepdims=True)
+    analysis = analyze(CanonicalDecomposition(transient, absorbing))
+    assert analysis.spectral_radius == np.max(np.diag(transient))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,61 @@ def test_summary_ratios_are_the_written_out_expressions():
     assert summary.ci_width_99 == 2.576 * math.sqrt(16.9) / math.sqrt(10)
 
 
+RATIO_DELTAS = [0.01] + [round(0.05 * i, 2) for i in range(1, 20)] + [1.0]
+
+
+def summary_of(delta, values, counts):
+    """summarize_histogram of a hand-built histogram of sum(counts) trials."""
+    config = SimConfig(delta=delta, trials=sum(counts), seed=0)
+    return summarize_histogram(TotalsHistogram(config, np.array(values), np.array(counts)))
+
+
+@pytest.mark.parametrize("delta", RATIO_DELTAS)
+def test_summary_ratios_are_the_written_out_expressions_at_every_delta(delta):
+    """The histogram of the test above: only conservative_factor depends on
+    delta, and it divides 4 / delta by the mean, in that order."""
+    summary = summary_of(delta, [4, 7, 13], [5, 2, 3])
+    assert summary.conservative_factor == (4 / delta) / 7.3
+    assert summary.efficiency == 4 / 7.3
+    assert summary.ci_width_99 == 2.576 * math.sqrt(16.9) / math.sqrt(10)
+
+
+def test_conservative_factor_values():
+    # 1000 totals with means 10.058 and 19.914
+    summary = summary_of(0.4, [10, 11], [942, 58])
+    assert summary.mean == 10.058
+    assert summary.conservative_factor == (4 / 0.4) / 10.058
+    assert summary.conservative_factor == pytest.approx(10.0 / 10.058)
+    summary = summary_of(0.2, [19, 20], [86, 914])
+    assert summary.mean == 19.914
+    assert summary.conservative_factor == (4 / 0.2) / 19.914
+    assert summary.conservative_factor == pytest.approx(20.0 / 19.914)
+
+
+def test_iteration_efficiency_values():
+    # 10,000 totals with mean 4.4439
+    summary = summary_of(0.9, [4, 5], [5561, 4439])
+    assert summary.mean == 4.4439
+    assert summary.efficiency == 4 / 4.4439
+    assert summary.efficiency == pytest.approx(4.0 / 4.4439)
+    # totals are at least the stage count, so every iteration advancing is 1.0
+    assert summary_of(1.0, [4], [2]).efficiency == 1.0
+
+
+def test_ci_width_values():
+    # totals 4, 4, 4, 6: sample variance exactly 1
+    summary = summary_of(0.5, [4, 6], [3, 1])
+    assert summary.std == 1.0
+    assert summary.ci_width_99 == 2.576 / 2
+    assert summary.ci_width_99 == pytest.approx(1.288)
+    # 10,000 totals split between 4 and 6: variance 10000 / 9999
+    summary = summary_of(0.5, [4, 6], [5000, 5000])
+    assert summary.variance == 10_000 / 9_999
+    assert summary.ci_width_99 == 2.576 * math.sqrt(10_000 / 9_999) / 100
+    assert summary.ci_width_99 == pytest.approx(0.02576, rel=1e-4)
+    assert summary_of(0.5, [7], [3]).ci_width_99 == 0.0
+
+
 def test_summarize_zero_variance_sample():
     batch = make_batch([[1, 1, 1, 1], [1, 1, 1, 1]], delta=1.0)
     summary = summarize(batch)
