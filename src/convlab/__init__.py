@@ -32,15 +32,8 @@ from .errors import (
     OutOfOrderError,
     ResourceLimitError,
     SingularMatrixError,
-    TerminalStateError,
 )
-from .harness import (
-    BernoulliOracle,
-    CrossValidationReport,
-    PipelineState,
-    cross_validate,
-    step,
-)
+from .harness import CrossValidationReport, cross_validate
 from .markov import (
     CanonicalDecomposition,
     ChainAnalysis,
@@ -51,7 +44,7 @@ from .markov import (
     failure_counting_expected_steps,
     pipeline_expected_steps,
 )
-from .regions import RegionLabel, classify, recommended_timeout
+from .regions import RegionLabel, classify
 from .rng import child_seed, generator, trial_generators, validate_seed
 from .simulate import (
     SimConfig,
@@ -79,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionKind",
-    "BernoulliOracle",
     "CalibrationAction",
     "CalibrationState",
     "CanonicalDecomposition",
@@ -95,14 +87,12 @@ __all__ = [
     "MonitorTrace",
     "OutOfOrderError",
     "PipelineSpec",
-    "PipelineState",
     "RegionLabel",
     "ResourceLimitError",
     "SimConfig",
     "SingularMatrixError",
     "StageEvent",
     "SummaryStats",
-    "TerminalStateError",
     "TotalsHistogram",
     "TrialBatch",
     "analyze",
@@ -125,13 +115,11 @@ __all__ = [
     "pipeline_expected_steps",
     "prefactor_corrected_slope",
     "read_events_jsonl",
-    "recommended_timeout",
     "replay",
     "run_batch",
     "run_histogram",
     "run_sweep",
     "sample_geometric",
-    "step",
     "summarize",
     "synthesize_drift_stream",
     "tail_decay_fit",

@@ -153,10 +153,6 @@ class CalibrationState:
             return None
         return self.successes / len(self.window)
 
-    @property
-    def region(self) -> RegionLabel | None:
-        return _region(self.delta_hat)
-
 
 def observe(state: CalibrationState, event: StageEvent) -> CalibrationAction:
     """Feed one event; returns the action taken (usually NoAction).

@@ -29,6 +29,3 @@ class InsufficientTailError(ConvlabError):
 class OutOfOrderError(ConvlabError):
     """An event stream violated non-decreasing timestamp order."""
 
-
-class TerminalStateError(ConvlabError):
-    """A pipeline in its terminal state was asked to take another step."""

@@ -1,19 +1,23 @@
-"""Stepwise pipeline harness: the literal state-machine counterpart of simulate.
+"""Stepwise pipeline harness: the literal attempt-by-attempt counterpart of simulate.
 
 Where the vectorized engine samples stage sojourns directly, this module
-walks the chain one attempt at a time through a pluggable stage oracle.
-The two paths are statistically equivalent, and cross_validate checks that
+walks the paper's four stages (CodeGen, Compilation, InvariantSynth,
+SMTSolving) one attempt at a time: an attempt succeeds when its uniform
+draw is below delta, and a success moves the walk to the next stage. The
+two paths are statistically equivalent, and cross_validate checks that
 on live runs of simulate.run_histogram, the engine behind every CLI report:
 identical delta and trial count, independent seeds, then a two-sample mean
 comparison and a variance ratio. The engine's mean and variance come from
 its histogram's exact integer moments (stats.summarize_histogram).
 
 One walker, _walk, runs every trial. It keeps only the attempts per stage
-and the last state.
+and whether the walk converged. It draws its uniforms in blocks of
+WALK_BLOCK: a Philox block draw gives the same doubles as the same number of
+scalar draws, and the draws a walk leaves unused belong to no other trial.
 
 Each trial draws from its own stream derived from (seed, trial index), so
 any single trial can be reproduced without replaying its predecessors:
-trial i of a cross-validation run is _walk(oracle,
+trial i of a cross-validation run is _walk(delta,
 generator(child_seed(stepwise_seed, i)), MAX_STEPS). The cross-validation
 loop takes those streams from rng.trial_generators, which derives their keys
 in bulk, instead of building each one with generator(child_seed(...)).
@@ -21,14 +25,11 @@ in bulk, instead of building each one with generator(child_seed(...)).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
-from .errors import TerminalStateError
 from .rng import _validate_count, _validate_delta, child_seed, trial_generators
 # The harness no longer calls generator or run_batch; both stay importable
 # here because the benchmark's tracer wraps them at this import site
@@ -40,66 +41,29 @@ from .simulate import SimConfig, run_histogram
 from .stats import summarize_histogram
 
 __all__ = [
-    "PipelineState",
-    "StageOracle",
-    "BernoulliOracle",
     "CrossValidationReport",
-    "step",
     "cross_validate",
 ]
 
-
-class PipelineState(enum.IntEnum):
-    """Pipeline stages in order; VERIFIED is the terminal state."""
-
-    CODE_GEN = 1
-    COMPILATION = 2
-    INVARIANT_SYNTH = 3
-    SMT_SOLVING = 4
-    VERIFIED = 5
-
-
-PIPELINE_STAGES = len(PipelineState) - 1
 MAX_STEPS = 1000  # attempts per cross-validation trial; a longer walk is unconverged
-_SUCCESSOR = dict(zip(PipelineState, list(PipelineState)[1:]))
+WALK_BLOCK = 64  # uniforms a walk draws at a time
 
 
-class StageOracle(Protocol):
-    """Decides whether one attempt at a stage succeeds."""
-
-    def attempt(self, stage: int, rng: np.random.Generator) -> bool: ...
-
-
-class BernoulliOracle:
-    """Memoryless oracle: every attempt succeeds with probability delta."""
-
-    def __init__(self, delta: float) -> None:
-        self.delta = _validate_delta(delta)
-
-    def attempt(self, stage: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.delta)
-
-
-def step(
-    state: PipelineState, oracle: StageOracle, rng: np.random.Generator
-) -> PipelineState:
-    """One attempt: advance on success, stay on failure."""
-    successor = _SUCCESSOR.get(state)  # a table: enum calls and member reads are slow
-    if successor is None:
-        raise TerminalStateError("pipeline already verified; no further steps")
-    return successor if oracle.attempt(int(state), rng) else state
-
-
-def _walk(oracle: StageOracle, rng: np.random.Generator, max_steps: int):
-    """The one step loop: (attempts per stage, last state) of one trial."""
-    state, verified = PipelineState.CODE_GEN, PipelineState.VERIFIED  # member reads are slow
-    attempts = [0] * (PIPELINE_STAGES + 1)  # indexed by state; slot 0 unused
-    for _ in range(max_steps):
-        attempts[state] += 1
-        state = step(state, oracle, rng)
-        if state is verified:
-            break
-    return attempts[1:], state
+def _walk(delta: float, rng: np.random.Generator, max_steps: int) -> tuple[list[int], bool]:
+    """The one stepwise loop: (attempts per stage, converged) of one trial."""
+    stages = SimConfig.stages
+    attempts = [0] * stages
+    stage = steps = 0
+    while steps < max_steps:
+        block = rng.random(min(WALK_BLOCK, max_steps - steps)).tolist()
+        steps += len(block)
+        for u in block:
+            attempts[stage] += 1
+            if u < delta:
+                stage += 1
+                if stage == stages:
+                    return attempts, True
+    return attempts, False
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +89,12 @@ class CrossValidationReport:
 def _stepwise_totals(
     delta: float, trials: int, seed: int, max_steps: int
 ) -> tuple[np.ndarray, bool]:
-    oracle = BernoulliOracle(delta)
     totals = np.empty(trials, dtype=np.int64)
     converged = True
     for index, rng in enumerate(trial_generators(seed, trials)):
-        attempts, last = _walk(oracle, rng, max_steps)
+        attempts, done = _walk(delta, rng, max_steps)
         totals[index] = sum(attempts)
-        converged &= last is PipelineState.VERIFIED
+        converged &= done
     return totals, converged
 
 
@@ -140,8 +103,8 @@ def cross_validate(delta: float, trials: int, seed: int) -> CrossValidationRepor
 
     Requires trials >= 1000 so the two-sample comparison has power. Each
     stepwise trial walks at most MAX_STEPS attempts; all_converged says
-    whether every one reached VERIFIED. Stepwise and vectorized streams use
-    child seeds 0 and 1 of `seed`.
+    whether every one passed all four stages. Stepwise and vectorized
+    streams use child seeds 0 and 1 of `seed`.
     """
     delta = _validate_delta(delta)
     trials = _validate_count("trials", trials, 1000)

@@ -1,4 +1,4 @@
-"""Operational-region classification and timeout recommendation.
+"""Operational-region classification.
 
 The paper's three operating zones partition the per-stage success
 probability at the thresholds read off its campaign: Marginal below 0.3,
@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import enum
 
-from .rng import _validate_delta, _validate_real
-from .stats import _survival_horizon
+from .rng import _validate_delta
 
 __all__ = [
     "RegionLabel",
     "classify",
-    "recommended_timeout",
 ]
 
 MARGINAL_UPPER = 0.3
@@ -36,11 +34,3 @@ def classify(delta: float) -> RegionLabel:
     if delta <= PRACTICAL_UPPER:
         return RegionLabel.PRACTICAL
     return RegionLabel.HIGH_PERFORMANCE
-
-
-def recommended_timeout(delta: float, epsilon: float, stages: int = 4) -> int:
-    """Smallest k whose exact miss probability stats.negbin_survival(k) is <= epsilon."""
-    epsilon = _validate_real("epsilon", epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return _survival_horizon(epsilon, stages, delta)  # which checks stages and delta

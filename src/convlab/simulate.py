@@ -149,11 +149,25 @@ class TotalsHistogram:
     """
 
     config: SimConfig
-    values: np.ndarray              # (distinct,) int64, increasing
+    values: np.ndarray              # (distinct,) int64, increasing, >= stages
     counts: np.ndarray              # (distinct,) int64, positive, sum = trials
 
     def __post_init__(self) -> None:
-        for arr in (self.values, self.counts):
+        values, counts = self.values, self.counts
+        for name, arr in (("values", values), ("counts", counts)):
+            if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype == np.int64):
+                raise ValueError(f"histogram {name} must be a 1-d int64 array")
+        if values.size != counts.size:
+            raise ValueError("histogram values and counts differ in length")
+        if np.any(counts <= 0):
+            raise ValueError("histogram counts must be positive")
+        if int(counts.sum()) != self.config.trials:
+            raise ValueError(f"histogram counts must sum to the {self.config.trials} trials")
+        if values[0] < self.config.stages or np.any(values[1:] <= values[:-1]):
+            raise ValueError(
+                f"histogram values must increase strictly from at least {self.config.stages}"
+            )
+        for arr in (values, counts):
             arr.setflags(write=False)
 
     @classmethod

@@ -81,16 +81,6 @@ def million_totals():
     return totals
 
 
-class ConstantOracle:
-    """Always-succeed or always-fail stage oracle for exercising edge paths."""
-
-    def __init__(self, outcome):
-        self.outcome = bool(outcome)
-
-    def attempt(self, stage, rng):
-        return self.outcome
-
-
 def negbin_pmf(k, stages, delta):
     """P(total = k) for `stages` successes at probability delta; 0 below k = stages.
 

@@ -23,6 +23,7 @@ from convlab.calibrate import (
     read_events_jsonl,
     replay,
     synthesize_drift_stream,
+    _region,
     trace_entry_csv_row,
 )
 from convlab.errors import OutOfOrderError
@@ -85,7 +86,7 @@ def test_delta_hat_undefined_below_min_samples():
         action = observe(state, event)
         assert action.kind is ActionKind.NO_ACTION
         assert state.delta_hat is None
-        assert state.region is None
+        assert _region(state.delta_hat) is None
 
 
 def test_delta_hat_matches_brute_force_recount():
@@ -116,7 +117,7 @@ def test_region_tracks_classification():
     for event in events_from_outcomes([True, True, False, False]):
         observe(state, event)
     assert state.delta_hat == 0.5
-    assert state.region is classify(0.5)
+    assert _region(state.delta_hat) is classify(0.5)
 
 
 def test_zero_estimate_reports_marginal():
@@ -126,7 +127,7 @@ def test_zero_estimate_reports_marginal():
     for event in events_from_outcomes([False, False, False]):
         observe(state, event)
     assert state.delta_hat == 0.0
-    assert state.region is RegionLabel.MARGINAL
+    assert _region(state.delta_hat) is RegionLabel.MARGINAL
 
 
 # ---------------------------------------------------------------------------

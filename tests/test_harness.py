@@ -1,26 +1,15 @@
-"""Stepwise state machine and its agreement with the vectorized engine."""
+"""Stepwise walker and its agreement with the vectorized engine."""
 
-import ast
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ConstantOracle, geometric_chi_square
-import convlab
+from conftest import geometric_chi_square
 from convlab import harness
-from convlab.errors import TerminalStateError
-from convlab.harness import (
-    BernoulliOracle,
-    CrossValidationReport,
-    PipelineState,
-    _walk,
-    cross_validate,
-    step,
-)
+from convlab.harness import CrossValidationReport, _walk, cross_validate
 from convlab.rng import SEED_MODULUS, child_seed, generator
 from convlab.simulate import SimConfig, run_histogram
 from convlab.stats import prefactor_corrected_slope
@@ -30,62 +19,29 @@ CHI_CRIT_999_DOF15 = 37.69729822451265
 
 
 # ---------------------------------------------------------------------------
-# single steps and whole walks
+# whole walks
 # ---------------------------------------------------------------------------
 
 
-def test_step_advances_on_success():
-    rng = generator(0)
-    assert step(PipelineState.CODE_GEN, ConstantOracle(True), rng) is (
-        PipelineState.COMPILATION
-    )
-    assert step(PipelineState.SMT_SOLVING, ConstantOracle(True), rng) is (
-        PipelineState.VERIFIED
-    )
+def test_delta_one_gives_minimal_walk():
+    assert _walk(1.0, generator(0), 1000) == ([1, 1, 1, 1], True)
 
 
-def test_step_stays_on_failure():
-    rng = generator(0)
-    assert step(PipelineState.CODE_GEN, ConstantOracle(False), rng) is (
-        PipelineState.CODE_GEN
-    )
-
-
-def test_step_rejects_terminal_state():
-    with pytest.raises(TerminalStateError):
-        step(PipelineState.VERIFIED, ConstantOracle(True), generator(0))
-
-
-def test_always_succeeding_oracle_gives_minimal_walk():
-    attempts, last = _walk(ConstantOracle(True), generator(0), 1000)
-    assert attempts == [1, 1, 1, 1]
-    assert last is PipelineState.VERIFIED
-
-
-def test_never_succeeding_oracle_hits_step_limit():
-    attempts, last = _walk(ConstantOracle(False), generator(0), 50)
-    assert attempts == [50, 0, 0, 0]
-    assert last is PipelineState.CODE_GEN
+def test_delta_zero_hits_step_limit():
+    assert _walk(0.0, generator(0), 50) == ([50, 0, 0, 0], False)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_converged_walks_attempt_every_stage(seed):
-    attempts, last = _walk(BernoulliOracle(0.4), generator(seed), 1000)
-    assert last is PipelineState.VERIFIED
+    attempts, converged = _walk(0.4, generator(seed), 1000)
+    assert converged
     assert all(count >= 1 for count in attempts)
 
 
 def test_runs_are_reproducible():
-    first = _walk(BernoulliOracle(0.5), generator(123), 1000)
-    second = _walk(BernoulliOracle(0.5), generator(123), 1000)
+    first = _walk(0.5, generator(123), 1000)
+    second = _walk(0.5, generator(123), 1000)
     assert first == second
-
-
-def test_bernoulli_oracle_validation():
-    with pytest.raises(ValueError):
-        BernoulliOracle(0.0)
-    with pytest.raises(ValueError):
-        BernoulliOracle(1.5)
 
 
 def test_stage_attempts_are_geometric():
@@ -94,7 +50,7 @@ def test_stage_attempts_are_geometric():
     trials = 4000
     delta = 0.3
     attempts = [
-        _walk(BernoulliOracle(delta), generator(2_000_000 + i), 1000)[0] for i in range(trials)
+        _walk(delta, generator(2_000_000 + i), 1000)[0] for i in range(trials)
     ]
     for stage_index in (0, 3):
         column = [row[stage_index] for row in attempts]
@@ -146,7 +102,8 @@ def test_cross_validate_counts_are_checked_before_any_work(kwargs, message, monk
 
 
 def test_the_pipeline_has_the_papers_four_stages_in_one_place():
-    assert harness.PIPELINE_STAGES == SimConfig.stages == 4
+    attempts, _ = _walk(1.0, generator(0), 1000)
+    assert len(attempts) == SimConfig.stages == 4
 
 
 def test_cross_validate_walks_at_most_max_steps(monkeypatch):
@@ -189,11 +146,10 @@ def test_the_fixed_stage_count_and_step_cap_are_not_arguments(call):
 def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
     totals, all_converged = harness._stepwise_totals(delta, trials, seed, max_steps)
     walks = [
-        _walk(BernoulliOracle(delta), generator(child_seed(seed, index)), max_steps)
-        for index in range(trials)
+        _walk(delta, generator(child_seed(seed, index)), max_steps) for index in range(trials)
     ]
     assert totals.tolist() == [sum(attempts) for attempts, _ in walks]
-    assert all_converged == all(last is PipelineState.VERIFIED for _, last in walks)
+    assert all_converged == all(converged for _, converged in walks)
 
 
 # cross_validate(delta, 10_000, child_seed(42, i)) for the i-th of 0.1/0.5/0.9,
@@ -241,66 +197,43 @@ def test_vectorized_moments_are_the_engines_exact_moments(index):
 
 
 # ---------------------------------------------------------------------------
-# reference: the per-step loop that the walker replaced
+# reference: one scalar draw per attempt
 # ---------------------------------------------------------------------------
 
 
-def reference_walk(oracle, max_steps, seed):
-    """_walk as a loop that counts each attempt by stage until VERIFIED or max_steps."""
+def reference_walk(delta, max_steps, seed):
+    """_walk as a loop that draws one uniform per attempt and advances a stage
+    when it is below delta, until all four stages pass or max_steps."""
     rng = generator(seed)
-    state = PipelineState.CODE_GEN
+    stage = 0
     attempts = [0] * 4
     steps = 0
-    while state is not PipelineState.VERIFIED and steps < max_steps:
-        attempts[int(state) - 1] += 1
-        state = step(state, oracle, rng)
+    while stage < 4 and steps < max_steps:
+        attempts[stage] += 1
+        if rng.random() < delta:
+            stage += 1
         steps += 1
-    return attempts, state
-
-
-ORACLES = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True).map(BernoulliOracle),
-    st.sampled_from([BernoulliOracle(1.0), ConstantOracle(True), ConstantOracle(False)]),
-)
+    return attempts, stage == 4
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    oracle=ORACLES,
+    delta=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.sampled_from([0.0, 1.0]),
+    ),
     seed=st.integers(0, SEED_MODULUS - 1),
-    max_steps=st.integers(1, 120),
+    # inside the first block, at its edges and past the second
+    max_steps=st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 128, 129])),
 )
-# cut off right after a success, and in the middle of a stage
-@example(oracle=ConstantOracle(True), seed=0, max_steps=2)
-@example(oracle=BernoulliOracle(0.05), seed=3, max_steps=30)
-def test_walks_match_the_per_step_reference(oracle, seed, max_steps):
-    walked = _walk(oracle, generator(seed), max_steps)
-    # repr also tells an int state from a PipelineState
-    assert repr(walked) == repr(reference_walk(oracle, max_steps, seed))
-
-
-class StepCalls(ast.NodeVisitor):
-    """(file name, enclosing function) of every call to a function named `step`."""
-
-    def __init__(self, name):
-        self.name, self.scope, self.found = name, ["<module>"], []
-
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    def visit_Call(self, node):
-        func = node.func
-        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) == "step":
-            self.found.append((self.name, self.scope[-1]))
-        self.generic_visit(node)
-
-
-def test_only_the_walker_calls_step():
-    calls = []
-    for path in sorted(Path(convlab.__file__).parent.glob("*.py")):
-        visitor = StepCalls(path.name)
-        visitor.visit(ast.parse(path.read_text()))
-        calls += visitor.found
-    assert calls == [("harness.py", "_walk")]
+# cut off right after a success, in the middle of a stage, and at a block edge
+@example(delta=1.0, seed=0, max_steps=2)
+@example(delta=0.05, seed=3, max_steps=30)
+@example(delta=0.0, seed=0, max_steps=64)
+@example(delta=0.02, seed=5, max_steps=129)
+# a first draw equal to delta fails: success is strictly below delta
+@example(delta=generator(0).random(), seed=0, max_steps=2)
+def test_walks_match_the_per_step_reference(delta, seed, max_steps):
+    walked = _walk(delta, generator(seed), max_steps)
+    # repr also tells a bool from an int
+    assert repr(walked) == repr(reference_walk(delta, max_steps, seed))

@@ -215,6 +215,58 @@ def test_from_batch_equals_run_histogram():
     assert histogram.success_rate == batch.success_rate
 
 
+# one refused case each: (id, values, counts) for a config of 2 trials at delta 0.5
+REFUSED = [
+    ("values-a-list", [4, 5], np.array([1, 1]), "values must be a 1-d int64 array"),
+    ("values-float", np.array([4.0, 5.0]), np.array([1, 1]), "values must be a 1-d int64"),
+    ("counts-int32", np.array([4, 5]), np.array([1, 1], dtype=np.int32),
+     "counts must be a 1-d int64"),
+    ("values-2-d", np.array([[4, 5]]), np.array([1, 1]), "values must be a 1-d int64"),
+    ("lengths-differ", np.array([4, 5, 6]), np.array([1, 1]), "differ in length"),
+    ("count-zero", np.array([4, 5, 6]), np.array([1, 0, 1]), "counts must be positive"),
+    ("count-negative", np.array([4, 5, 6]), np.array([2, -1, 1]), "counts must be positive"),
+    ("counts-sum-past-trials", np.array([4, 5]), np.array([1, 2]), "sum to the 2 trials"),
+    ("no-values", np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+     "sum to the 2 trials"),
+    # totals 1 and 2 once summarized to an efficiency of 2.67
+    ("values-below-stages", np.array([1, 2]), np.array([1, 1]), "from at least 4"),
+    ("values-repeat", np.array([4, 4]), np.array([1, 1]), "increase strictly"),
+    ("values-decrease", np.array([5, 4]), np.array([1, 1]), "increase strictly"),
+]
+
+
+@pytest.mark.parametrize(("values", "counts", "message"), [row[1:] for row in REFUSED],
+                         ids=[row[0] for row in REFUSED])
+def test_histogram_refuses_what_no_batch_could_give(values, counts, message):
+    with pytest.raises(ValueError, match=message):
+        TotalsHistogram(SimConfig(delta=0.5, trials=2, seed=0), values, counts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    delta=deltas,
+    trials=st.one_of(
+        st.integers(1, 3 * 2**16),
+        st.sampled_from([2**12 - 1, 2**12, 2**15 + 1, 2**16, 2**16 + 3]),
+    ),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@example(delta=0.1, trials=200_003, seed=1)
+@example(delta=1e-6, trials=70_001, seed=2)  # every total passes DENSE_LIMIT
+@example(delta=1.0, trials=5, seed=3)
+def test_the_chunk_size_does_not_change_the_results(delta, trials, seed):
+    config = SimConfig(delta=delta, trials=trials, seed=seed)
+    totals = run_batch(config).totals
+    values, counts = np.unique(totals, return_counts=True)
+    for rows in (2**12, 2**15, 2**16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "CHUNK_ROWS", rows)
+            histogram = run_histogram(config)
+            assert np.array_equal(run_batch(config).totals, totals)
+        assert np.array_equal(histogram.values, values)
+        assert np.array_equal(histogram.counts, counts)
+
+
 def test_histogram_cell_budget_matches_run_batch(monkeypatch):
     monkeypatch.setattr(simulate, "DEFAULT_CELL_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):

@@ -19,9 +19,9 @@ import pytest
 import convlab
 from convlab import calibrate, harness, simulate
 from convlab.calibrate import MonitorConfig, synthesize_drift_stream
-from convlab.harness import BernoulliOracle, cross_validate
+from convlab.harness import cross_validate
 from convlab.markov import PipelineSpec
-from convlab.regions import classify, recommended_timeout
+from convlab.regions import classify
 from convlab.rng import child_seed, trial_generators
 from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
@@ -49,8 +49,6 @@ COUNTS = [
     ("negbin_survival.stages", "stages", lambda v: negbin_survival(9, v, 0.5), 3, 1),
     ("negbin_cdf.stages", "stages", lambda v: negbin_cdf(9, v, 0.5), 3, 1),
     ("negbin_quantile.stages", "stages", lambda v: negbin_quantile(0.9, v, 0.5), 3, 1),
-    ("recommended_timeout.stages", "stages",
-     lambda v: recommended_timeout(0.5, 0.01, stages=v), 3, 1),
     ("MonitorConfig.window_size", "window_size",
      lambda v: MonitorConfig(window_size=v, min_samples=2), 40, 1),
     ("MonitorConfig.min_samples", "min_samples", lambda v: MonitorConfig(min_samples=v), 20, 0),
@@ -67,10 +65,8 @@ DELTAS = [
     ("sample_geometric", "delta", lambda d: sample_geometric(d, 0.5)),
     ("run_sweep", "delta", lambda d: run_sweep([0.5, d], 7, 1)),
     ("PipelineSpec", "delta", lambda d: PipelineSpec(d)),
-    ("BernoulliOracle", "delta", lambda d: BernoulliOracle(d)),
     ("cross_validate", "delta", lambda d: cross_validate(d, 1000, 1)),
     ("classify", "delta", lambda d: classify(d)),
-    ("recommended_timeout", "delta", lambda d: recommended_timeout(d, 0.01)),
     ("negbin_survival", "delta", lambda d: negbin_survival(9, 4, d)),
     ("negbin_cdf", "delta", lambda d: negbin_cdf(9, 4, d)),
     ("negbin_quantile", "delta", lambda d: negbin_quantile(0.9, 4, d)),
@@ -83,7 +79,6 @@ DELTAS = [
 # (id, argument name, call with the real) for real-valued arguments other than delta
 REALS = [
     ("sample_geometric.uniform_draw", "uniform draw", lambda v: sample_geometric(0.5, v)),
-    ("recommended_timeout.epsilon", "epsilon", lambda v: recommended_timeout(0.5, v)),
     ("negbin_quantile.q", "quantile level", lambda v: negbin_quantile(v, 4, 0.5)),
     ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(SERIES, v)),
     ("prefactor_corrected_slope.fitted_slope", "fitted_slope",
@@ -220,7 +215,7 @@ def test_monitor_thresholds_are_stored_as_floats():
 def test_delta_is_stored_as_a_float():
     assert type(asdict(SimConfig(delta=1, trials=2))["delta"]) is float
     assert type(PipelineSpec(np.float32(0.5)).delta) is float
-    assert type(BernoulliOracle(1).delta) is float
+    assert type(cross_validate(1, 1000, 1).delta) is float
 
 
 @pytest.mark.parametrize("kwargs", [{"window_size": 100.0}, {"min_samples": 1.5}])

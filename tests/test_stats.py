@@ -23,6 +23,7 @@ from convlab.stats import (
     negbin_cdf,
     negbin_quantile,
     negbin_survival,
+    _survival_horizon,
     prefactor_corrected_slope,
     summarize,
     summarize_histogram,
@@ -388,6 +389,101 @@ def test_negbin_law_survives_coefficients_past_the_float_range():
     assert abs(Fraction(negbin_cdf(1100, 500, 0.5)) - (1 - exact)) <= Fraction(1e-13)
     pmf = math.comb(1099, 499) * Fraction(1, 2) ** 1100
     assert abs(Fraction(negbin_pmf(1100, 500, 0.5)) - pmf) <= Fraction(1e-12) * pmf
+
+
+# ---------------------------------------------------------------------------
+# survival horizon: the smallest k whose exact miss probability is <= epsilon
+# ---------------------------------------------------------------------------
+
+
+def is_horizon(k, epsilon, stages, delta):
+    """survival(k) <= epsilon < survival(k - 1), on negbin_survival."""
+    return negbin_survival(k, stages, delta) <= epsilon < negbin_survival(k - 1, stages, delta)
+
+
+@pytest.mark.parametrize(
+    ("delta", "epsilon", "expected"),
+    [
+        (0.5, 1e-6, 33),
+        (0.1, 1e-6, 205),
+        (0.9, 1e-6, 12),
+        (1.0, 1e-6, 4),  # immediate convergence
+        (0.9, 0.5, 4),  # never below the stage count
+    ],
+)
+def test_survival_horizon_values(delta, epsilon, expected):
+    assert _survival_horizon(epsilon, 4, delta) == expected
+    assert is_horizon(expected, epsilon, 4, delta)
+    # checked against the law in exact rationals
+    tail = Fraction(epsilon)
+    assert exact_survival(expected, 4, delta) <= tail < exact_survival(expected - 1, 4, delta)
+
+
+def test_survival_horizon_with_many_stages():
+    """500 stages put C(k, j) past the float range; the horizon is still exact."""
+    def survival(k):
+        return sum(math.comb(k, j) * Fraction(1, 2) ** k for j in range(500))
+
+    assert _survival_horizon(1e-6, 500, 0.5) == 1161
+    assert is_horizon(1161, 1e-6, 500, 0.5)
+    assert survival(1161) <= Fraction(1e-6) < survival(1160)
+
+
+@pytest.mark.parametrize(
+    ("delta", "epsilon", "stages", "expected"),
+    [
+        # fl(1 - delta)**k gives 21370171740337470
+        (1e-15, 1e-6, 4, 21350456963272126),
+        # an exact rational power of 1 - delta takes over 20 s here
+        (1e-6, 1e-6, 50, 91063368),
+        # epsilon below 1e-16, where 1 - epsilon rounds to 1: no quantile level reaches it
+        (0.5, 1e-20, 4, 83),
+        (0.1, 1e-20, 4, 537),
+        (1e-15, 1e-17, 4, 49095171617996488),
+        (1e-6, 1e-30, 50, 179014666),
+    ],
+)
+def test_survival_horizon_matches_decimal_reference(delta, epsilon, stages, expected):
+    assert _survival_horizon(epsilon, stages, delta) == expected
+    assert is_horizon(expected, epsilon, stages, delta)
+    tail = Decimal(epsilon)
+    assert decimal_survival(expected, stages, delta) <= tail
+    assert tail < decimal_survival(expected - 1, stages, delta)
+
+
+def test_survival_horizon_monotonicity():
+    deltas = [0.1, 0.2, 0.4, 0.6, 0.8, 0.9]
+    horizons = [_survival_horizon(1e-6, 4, d) for d in deltas]
+    assert all(a >= b for a, b in zip(horizons, horizons[1:]))
+
+    epsilons = [1e-9, 1e-6, 1e-3, 1e-1]
+    by_eps = [_survival_horizon(e, 4, 0.3) for e in epsilons]
+    assert all(a >= b for a, b in zip(by_eps, by_eps[1:]))
+
+
+def test_survival_horizon_covers_single_stage_tail():
+    """For one stage the sojourn is exactly geometric, so the horizon rule
+    k = ceil(ln(eps)/ln(1-delta)) genuinely guarantees (1-delta)^k <= eps."""
+    for delta in (0.1, 0.3, 0.5, 0.9):
+        for epsilon in (1e-3, 1e-6):
+            horizon = _survival_horizon(epsilon, 1, delta)
+            assert (1.0 - delta) ** horizon <= epsilon
+
+
+def test_survival_horizon_covers_four_stage_tail():
+    for delta in (0.1, 0.3, 0.5, 0.9):
+        for epsilon in (1e-3, 1e-6):
+            horizon = _survival_horizon(epsilon, 4, delta)
+            survival = 1.0 - negbin_cdf(horizon, 4, delta)
+            assert survival <= epsilon
+
+
+def test_survival_horizon_shrinks_order_of_magnitude_across_regions():
+    # the horizon collapses by ~an order of magnitude from Marginal to High
+    marginal = _survival_horizon(1e-6, 4, 0.1)
+    high = _survival_horizon(1e-6, 4, 0.9)
+    assert marginal > 10 * high
+    assert math.isfinite(marginal)
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3, 0.5, 0.9])
