@@ -31,6 +31,40 @@ def test_delta_zero_hits_step_limit():
     assert _walk(0.0, generator(0), 50) == ([50, 0, 0, 0], False)
 
 
+class ScriptedDraws:
+    """A stand-in generator whose uniforms come from a fixed script, in order."""
+
+    def __init__(self, draws):
+        self.draws, self.used = list(draws), 0
+
+    def random(self, size):
+        block = self.draws[self.used:self.used + size]
+        assert len(block) == size, "the walk asked for more draws than max_steps"
+        self.used += size
+        return np.array(block)
+
+
+@pytest.mark.parametrize(
+    ("draws", "attempts", "converged"),
+    [
+        # every draw below delta passes a stage
+        ([0.1, 0.1, 0.1, 0.1], [1, 1, 1, 1], True),
+        # a draw equal to delta fails: success is strictly below delta
+        ([0.5, 0.1, 0.1, 0.1, 0.1], [2, 1, 1, 1], True),
+        # a failure stays in its stage, a success moves on to the next
+        ([0.9, 0.9, 0.1, 0.1, 0.7, 0.1, 0.1], [3, 1, 2, 1], True),
+        # cut off right after a success, one stage short
+        ([0.1, 0.1, 0.1], [1, 1, 1, 0], False),
+        # cut off in the middle of a stage
+        ([0.1, 0.9, 0.9, 0.9, 0.9], [1, 4, 0, 0], False),
+    ],
+)
+def test_a_draw_below_delta_passes_the_stage(draws, attempts, converged):
+    script = ScriptedDraws(draws)
+    assert _walk(0.5, script, len(draws)) == (attempts, converged)
+    assert script.used == len(draws)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_converged_walks_attempt_every_stage(seed):
     attempts, converged = _walk(0.4, generator(seed), 1000)

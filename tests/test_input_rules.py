@@ -1,10 +1,11 @@
 """Library input rules: every count, delta and real goes through rng's validators.
 
 A count must be an integer (numpy integers included, bools refused), a
-delta a real number in (0, 1], and any other real-valued argument a finite
-real number (bools refused) before its own range is checked. A bad value
-raises ValueError naming the argument before any work starts. The source
-check at the end keeps these rules in rng.py alone.
+delta a real number in (0, 1], a seed an unsigned 64-bit integer, and any
+other real-valued argument a finite real number (bools refused) before its
+own range is checked. A bad value raises ValueError naming the argument
+before any work starts. The source check at the end keeps these rules in
+rng.py alone.
 """
 
 import ast
@@ -22,7 +23,7 @@ from convlab.calibrate import MonitorConfig, synthesize_drift_stream
 from convlab.harness import cross_validate
 from convlab.markov import PipelineSpec
 from convlab.regions import classify
-from convlab.rng import child_seed, trial_generators
+from convlab.rng import child_seed, generator, trial_generators
 from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
     CcdfSeries,
@@ -91,6 +92,18 @@ REALS = [
      lambda v: MonitorConfig(trigger_threshold=v)),
     ("MonitorConfig.rearm_threshold", "rearm_threshold",
      lambda v: MonitorConfig(rearm_threshold=v)),
+]
+
+# (id, call with the seed) for every public entry point that takes a seed
+SEEDS = [
+    ("SimConfig.seed", lambda s: SimConfig(0.5, trials=7, seed=s)),
+    ("run_sweep.base_seed",
+     lambda s: [batch.totals.tolist() for batch in run_sweep([0.5, 0.2], 7, s)]),
+    ("cross_validate.seed", lambda s: cross_validate(0.5, 1000, s)),
+    ("synthesize_drift_stream.seed", lambda s: synthesize_drift_stream([(0.5, 10)], seed=s)),
+    ("child_seed.base_seed", lambda s: child_seed(s, 3)),
+    ("generator.seed", lambda s: generator(s).random(3).tolist()),
+    ("trial_generators.seed", lambda s: [rng.random() for rng in trial_generators(s, 3)]),
 ]
 
 NON_INTEGERS = ["5", 2.0, True, np.float64(2.0)]
@@ -169,6 +182,26 @@ def test_a_non_finite_argument_is_refused_before_any_work(entry, name, call, val
     message = f"^{re.escape(name)} must be finite, got {re.escape(str(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry, call", SEEDS, ids=entry_ids(SEEDS))
+def test_a_non_integer_seed_is_refused(entry, call, value):
+    kind = type(value).__name__
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {kind}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64], ids=repr)
+@pytest.mark.parametrize("entry, call", SEEDS, ids=entry_ids(SEEDS))
+def test_a_seed_outside_64_bits_is_refused(entry, call, value):
+    with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, call", SEEDS, ids=entry_ids(SEEDS))
+def test_numpy_integer_seeds_run_like_ints(entry, call):
+    assert call(np.uint64(2**64 - 1)) == call(2**64 - 1)
 
 
 @pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
