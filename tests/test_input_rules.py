@@ -41,8 +41,6 @@ SERIES = CcdfSeries(((4, 0.5), (5, 0.25), (6, 0.125), (7, 0.0625)))
 # (id, argument name, call with the count, a valid count, the count's minimum)
 COUNTS = [
     ("SimConfig.trials", "trials", lambda v: SimConfig(0.5, trials=v), 7, 1),
-    ("SimConfig.success_cutoff", "success_cutoff",
-     lambda v: SimConfig(0.5, success_cutoff=v), 9, 0),
     ("PipelineSpec.stages", "stages", lambda v: PipelineSpec(0.5, stages=v), 3, 1),
     ("run_sweep.trials", "trials",
      lambda v: [batch.totals.tolist() for batch in run_sweep([0.5, 0.2], v, 1)], 7, 1),

@@ -113,7 +113,6 @@ def test_degenerate_delta_one():
     batch = run_batch(SimConfig(delta=1.0, trials=50, seed=3))
     assert np.all(batch.sojourns == 1)
     assert np.all(batch.totals == 4)
-    assert batch.success_rate == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +128,9 @@ def test_batches_are_deterministic():
     assert np.array_equal(first.totals, second.totals)
 
 
-def test_totals_and_flags_are_consistent():
-    batch = run_batch(SimConfig(delta=0.2, trials=500, seed=8, success_cutoff=22))
+def test_totals_are_the_sojourn_row_sums():
+    batch = run_batch(SimConfig(delta=0.2, trials=500, seed=8))
     assert np.array_equal(batch.totals, batch.sojourns.sum(axis=1))
-    assert np.array_equal(batch.success_flags, batch.totals <= 22)
-    assert 0.0 < batch.success_rate < 1.0  # cutoff 22 at delta=0.2 splits the sample
     assert np.all(batch.sojourns >= 1)
 
 
@@ -147,7 +144,7 @@ def test_batch_arrays_are_read_only():
 
 def test_trial_batch_is_plain_data_without_self_timing():
     names = [field.name for field in fields(TrialBatch)]
-    assert names == ["sojourns", "totals", "success_flags", "config"]
+    assert names == ["sojourns", "totals", "config"]
 
 
 def test_trial_batch_rejects_inconsistent_fields():
@@ -155,12 +152,7 @@ def test_trial_batch_rejects_inconsistent_fields():
     broken_totals = batch.totals.copy()
     broken_totals[0] += 1
     with pytest.raises(ValueError):
-        TrialBatch(
-            sojourns=batch.sojourns,
-            totals=broken_totals,
-            success_flags=batch.success_flags,
-            config=batch.config,
-        )
+        TrialBatch(sojourns=batch.sojourns, totals=broken_totals, config=batch.config)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +161,6 @@ def test_trial_batch_rejects_inconsistent_fields():
         {"delta": 0.0},
         {"delta": 1.5},
         {"trials": 0},
-        {"success_cutoff": 3},  # cannot finish four stages in three iterations
         {"seed": -1},
         {"seed": 2**64},
     ],
@@ -181,11 +172,10 @@ def test_sim_config_validation(kwargs):
         SimConfig(**base)
 
 
-@pytest.mark.parametrize("name", ["trials", "success_cutoff"])
 @pytest.mark.parametrize("value", [100.0, 4.0, True, np.float64(100.0)])
-def test_sim_config_counts_must_be_integers(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        SimConfig(delta=0.5, **{name: value})
+def test_sim_config_trials_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        SimConfig(delta=0.5, trials=value)
 
 
 @pytest.mark.parametrize(
@@ -193,7 +183,6 @@ def test_sim_config_counts_must_be_integers(name, value):
     [
         ({"trials": 0}, "trials must be >= 1, got 0"),
         ({"trials": -3}, "trials must be >= 1, got -3"),
-        ({"success_cutoff": 3}, "success_cutoff must be >= stages, got 3"),
     ],
 )
 def test_sim_config_out_of_range_counts_keep_their_messages(kwargs, message):
@@ -202,14 +191,12 @@ def test_sim_config_out_of_range_counts_keep_their_messages(kwargs, message):
 
 
 def test_sim_config_takes_numpy_integers_as_ints():
-    config = SimConfig(
-        delta=0.5, trials=np.int64(70), seed=np.uint64(9), success_cutoff=np.uint16(40),
-    )
-    assert asdict(config) == {"delta": 0.5, "trials": 70, "seed": 9, "success_cutoff": 40}
+    config = SimConfig(delta=0.5, trials=np.int64(70), seed=np.uint64(9))
+    assert asdict(config) == {"delta": 0.5, "trials": 70, "seed": 9}
     assert all(type(value) is int for value in list(asdict(config).values())[1:])
     assert np.array_equal(
         run_batch(config).totals,
-        run_batch(SimConfig(delta=0.5, trials=70, seed=9, success_cutoff=40)).totals,
+        run_batch(SimConfig(delta=0.5, trials=70, seed=9)).totals,
     )
 
 

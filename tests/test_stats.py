@@ -35,18 +35,10 @@ TABLE_P99 = {
 }
 
 
-def make_batch(sojourn_rows, delta=0.5, cutoff=1000):
+def make_batch(sojourn_rows, delta=0.5):
     sojourns = np.array(sojourn_rows, dtype=np.int64)
-    totals = sojourns.sum(axis=1)
-    config = SimConfig(
-        delta=delta, trials=sojourns.shape[0], seed=0, success_cutoff=cutoff
-    )
-    return TrialBatch(
-        sojourns=sojourns,
-        totals=totals,
-        success_flags=totals <= cutoff,
-        config=config,
-    )
+    config = SimConfig(delta=delta, trials=sojourns.shape[0], seed=0)
+    return TrialBatch(sojourns=sojourns, totals=sojourns.sum(axis=1), config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +54,6 @@ def test_summarize_hand_oracle():
     assert summary.variance == pytest.approx(7.0)  # sample variance, n-1
     assert summary.std == pytest.approx(math.sqrt(7.0))
     assert summary.p99 == 9.0
-    assert summary.success_rate == 1.0
     assert summary.conservative_factor == pytest.approx((4.0 / 0.5) / 6.0)
     assert summary.efficiency == pytest.approx(4.0 / 6.0)
     assert summary.ci_width_99 == pytest.approx(2.576 * math.sqrt(7.0) / math.sqrt(3))
@@ -493,6 +484,26 @@ def test_prefactor_corrected_slope_matches_the_reference(delta):
     for fitted in (math.log1p(-delta) / 2, -0.05):
         got = prefactor_corrected_slope(fitted, ks, delta)
         assert got == pytest.approx(reference_corrected_slope(fitted, ks, delta), abs=1e-9)
+
+
+def per_k_corrected_slope(fitted_slope, ks, delta):
+    """The correction fitted to ln negbin_survival, one survival call per k."""
+    exact = np.log([negbin_survival(k, 4, delta) for k in ks])
+    exact_slope, _ = np.polyfit(np.asarray(ks, dtype=float), exact, 1)
+    return fitted_slope - (float(exact_slope) - math.log1p(-delta))
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-5, 0.001, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999])
+def test_prefactor_corrected_slope_matches_the_per_k_survival_fit(delta):
+    last = negbin_quantile(1.0 - 1e-6, 4, delta)
+    spans = [
+        list(range(4, last, max(1, (last - 4) // 40))),
+        list(range(-6, 12)),  # survival is 1 below four stages, at negative ks too
+    ]
+    for ks in spans:
+        for fitted in (math.log1p(-delta) / 2, -0.05):
+            got = prefactor_corrected_slope(fitted, ks, delta)
+            assert got == pytest.approx(per_k_corrected_slope(fitted, ks, delta), abs=1e-9)
 
 
 def test_prefactor_corrected_slope_of_the_exact_law_is_its_rate():
