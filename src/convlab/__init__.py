@@ -56,7 +56,6 @@ from .simulate import (
     sample_geometric,
 )
 from .stats import (
-    CcdfSeries,
     SummaryStats,
     ccdf,
     nearest_rank_percentile,
@@ -75,7 +74,6 @@ __all__ = [
     "CalibrationAction",
     "CalibrationState",
     "CanonicalDecomposition",
-    "CcdfSeries",
     "ChainAnalysis",
     "ConvlabError",
     "CrossValidationReport",

@@ -297,17 +297,18 @@ def cmd_tail(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     histogram = run_histogram(config)
-    series = histogram_ccdf(histogram.values, histogram.counts)
+    values = histogram.values
+    probs = histogram_ccdf(values, histogram.counts)
     floor_prob = 10.0 / config.trials
     theoretical = math.log1p(-config.delta) if config.delta < 1.0 else None
     try:
-        fitted = tail_decay_fit(series, floor_prob)
+        fitted = tail_decay_fit(values, probs, floor_prob)
     except InsufficientTailError as exc:
         fitted = None
         _info(f"tail: no fit ({exc})")
 
     lines = ["k,ccdf"]
-    lines.extend(f"{k},{prob:.6f}" for k, prob in series.points)
+    lines.extend(f"{k},{prob:.6f}" for k, prob in zip(values.tolist(), probs.tolist()))
     sidecar = {
         "delta": config.delta,
         "trials": config.trials,
@@ -318,8 +319,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     }
     _emit("\n".join(lines) + "\n", args.out, sidecar)
     if fitted is not None:
-        kept = [k for k, prob in series.points if prob > floor_prob]
-        corrected = prefactor_corrected_slope(fitted, kept, config.delta)
+        corrected = prefactor_corrected_slope(fitted, values[probs > floor_prob], config.delta)
         _info(
             f"tail: fitted slope {fitted:.6f}, prefactor-corrected {corrected:.6f}, "
             f"theoretical {theoretical:.6f}"

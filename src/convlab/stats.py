@@ -2,7 +2,10 @@
 
 Every summary is reduced from a histogram of totals (distinct values and
 their counts, see simulate.TotalsHistogram); a per-trial array is first
-counted with simulate.count_totals.
+counted with simulate.count_totals. The empirical CCDF is one float64
+column, P(total > values[i]), beside the histogram's int64 `values`;
+tail_decay_fit fits the rows of that pair above a noise floor, and
+prefactor_corrected_slope takes the same rows' ks.
 
 Percentiles are nearest-rank: the p-th percentile of n sorted values is the
 element at 1-based rank ceil(p/100 * n), computed exactly on the decimal
@@ -36,7 +39,6 @@ from .simulate import SimConfig, TotalsHistogram, TrialBatch, count_totals
 
 __all__ = [
     "SummaryStats",
-    "CcdfSeries",
     "summarize",
     "summarize_histogram",
     "histogram_mean",
@@ -71,13 +73,6 @@ class SummaryStats:
     conservative_factor: float
     efficiency: float
     ci_width_99: float
-
-
-@dataclass(frozen=True)
-class CcdfSeries:
-    """Complementary CDF points (k, P(total > k)), one per distinct total."""
-
-    points: tuple[tuple[int, float], ...]
 
 
 def nearest_rank_percentile(values: np.ndarray, percentile: float) -> float:
@@ -161,39 +156,34 @@ def summarize_histogram(histogram: TotalsHistogram) -> SummaryStats:
     )
 
 
-def ccdf(totals: np.ndarray) -> CcdfSeries:
-    """Empirical P(total > k) at every distinct k of integer totals, increasing."""
-    return histogram_ccdf(*count_totals(totals))
+def ccdf(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct integer totals, increasing, and the empirical P(total > k) at each."""
+    values, counts = count_totals(totals)
+    return values, histogram_ccdf(values, counts)
 
 
-def histogram_ccdf(values: np.ndarray, counts: np.ndarray) -> CcdfSeries:
-    """Empirical P(total > k) at every distinct k of a histogram, increasing."""
+def histogram_ccdf(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Empirical P(total > values[i]) of a histogram, as a float64 column beside `values`."""
     cumulative, n = _cumulative_counts(counts, "ccdf")
-    probs = (n - cumulative) / n
-    return CcdfSeries(
-        points=tuple(
-            (int(k), float(p)) for k, p in zip(values.tolist(), probs.tolist())
-        )
-    )
+    return (n - cumulative) / n
 
 
-def tail_decay_fit(series: CcdfSeries, floor_prob: float) -> float:
-    """OLS slope of ln(prob) against k over points with prob > floor_prob."""
+def tail_decay_fit(ks: np.ndarray, probs: np.ndarray, floor_prob: float) -> float:
+    """OLS slope of ln(probs) against ks over the rows with probs > floor_prob."""
     floor_prob = _validate_real("noise floor", floor_prob)
     if floor_prob <= 0.0:
         raise ValueError(f"noise floor must be positive, got {floor_prob}")
-    kept = [(k, p) for k, p in series.points if p > floor_prob]
-    if len(kept) < 3:
-        raise InsufficientTailError(
-            f"{len(kept)} points above the noise floor; need >= 3 to fit"
-        )
-    ks = np.array([k for k, _ in kept], dtype=float)
-    logs = np.log(np.array([p for _, p in kept]))
-    slope, _ = np.polyfit(ks, logs, 1)
+    kept = probs > floor_prob
+    count = np.count_nonzero(kept)
+    if count < 3:
+        raise InsufficientTailError(f"{count} points above the noise floor; need >= 3 to fit")
+    slope, _ = np.polyfit(ks[kept], np.log(probs[kept]), 1)
     return float(slope)
 
 
-def prefactor_corrected_slope(fitted_slope: float, ks: Sequence[int], delta: float) -> float:
+def prefactor_corrected_slope(
+    fitted_slope: float, ks: np.ndarray | Sequence[int], delta: float
+) -> float:
     """A log-linear tail slope fitted over `ks`, less its polynomial-prefactor part.
 
     The exact survival of a four-stage total is (1-delta)**k times the cubic
@@ -203,17 +193,20 @@ def prefactor_corrected_slope(fitted_slope: float, ks: Sequence[int], delta: flo
     subtracting that share from `fitted_slope` estimates ln(1-delta). Below
     k = 4 the survival is 1, so there the share is -k ln(1-delta). A line
     needs at least two distinct `ks`, and delta below 1: at delta = 1 the
-    tail ends at k = 4 and ln(1-delta) is -inf.
+    tail ends at k = 4 and ln(1-delta) is -inf. A 1-d integer array is taken
+    as it is; any other sequence is checked one element at a time, so a bool
+    or a float among the ks is refused.
     """
     fitted_slope = _validate_real("fitted_slope", fitted_slope)
-    ks = [_validate_count("ks", k, None) for k in ks]
-    distinct = len(set(ks))
-    if distinct < 2:
+    if not (isinstance(ks, np.ndarray) and ks.ndim == 1 and np.issubdtype(ks.dtype, np.integer)):
+        ks = np.array([_validate_count("ks", k, None) for k in ks])
+    if ks.size == 0 or ks.min() == ks.max():  # fewer than two distinct ks
+        distinct = min(ks.size, 1)
         raise ValueError(f"ks must hold at least two distinct integers, got {distinct} distinct")
     delta = _validate_delta(delta)
     if delta == 1.0:
         raise ValueError(f"delta must be below 1 for a finite tail slope, got {delta}")
-    k = np.asarray(ks, dtype=float)
+    k = ks.astype(float)
     ratio = delta / (1.0 - delta)
     top = np.maximum(k, SimConfig.stages)  # the series holds from k = 4 on
     term, excess = np.ones_like(k), np.zeros_like(k)

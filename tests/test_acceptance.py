@@ -108,10 +108,9 @@ def corrected_tail_slope(totals, delta):
     """Criterion 05's estimate of the tail rate: the log-CCDF slope above the
     10/n noise floor, with the four-stage polynomial factor divided out."""
     floor_prob = 10.0 / totals.size
-    series = ccdf(totals)
-    fitted = tail_decay_fit(series, floor_prob=floor_prob)
-    kept = [k for k, prob in series.points if prob > floor_prob]
-    return prefactor_corrected_slope(fitted, kept, delta)
+    values, probs = ccdf(totals)
+    fitted = tail_decay_fit(values, probs, floor_prob=floor_prob)
+    return prefactor_corrected_slope(fitted, values[probs > floor_prob], delta)
 
 
 def test_criterion_05_exponential_tail_decay(million_totals):

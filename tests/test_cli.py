@@ -571,6 +571,19 @@ def test_tail_prints_the_prefactor_corrected_slope(tmp_path, capsys):
     assert printed == pytest.approx(reference, abs=1e-6)
 
 
+@pytest.mark.parametrize(("delta", "line"), [
+    ("0.1", "tail: fitted slope -0.066608, prefactor-corrected -0.106398, theoretical -0.105361"),
+    ("0.5", "tail: fitted slope -0.463155, prefactor-corrected -0.699500, theoretical -0.693147"),
+])
+def test_tail_stderr_is_pinned_on_the_golden_inputs(tmp_path, capsys, delta, line):
+    code, _, err = run_cli(
+        capsys,
+        "tail", "--delta", delta, "--trials", "150000", "--seed", "42",
+        "--out", str(tmp_path / "tail.csv"),
+    )
+    assert (code, err) == (0, line + "\n")
+
+
 @pytest.mark.parametrize("delta", [0.5, 0.9])
 def test_tail_fit_matches_asymptotic_rate(tmp_path, capsys, delta):
     """The exported fit, with the four-stage polynomial factor divided out over

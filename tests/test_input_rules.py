@@ -26,7 +26,6 @@ from convlab.regions import classify
 from convlab.rng import child_seed, generator, trial_generators
 from convlab.simulate import SimConfig, run_sweep, sample_geometric
 from convlab.stats import (
-    CcdfSeries,
     histogram_percentiles,
     nearest_rank_percentile,
     negbin_cdf,
@@ -36,7 +35,7 @@ from convlab.stats import (
     tail_decay_fit,
 )
 
-SERIES = CcdfSeries(((4, 0.5), (5, 0.25), (6, 0.125), (7, 0.0625)))
+SERIES = (np.arange(4, 8), np.array([0.5, 0.25, 0.125, 0.0625]))
 
 # (id, argument name, call with the count, a valid count, the count's minimum)
 COUNTS = [
@@ -79,7 +78,7 @@ DELTAS = [
 REALS = [
     ("sample_geometric.uniform_draw", "uniform draw", lambda v: sample_geometric(0.5, v)),
     ("negbin_quantile.q", "quantile level", lambda v: negbin_quantile(v, 4, 0.5)),
-    ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(SERIES, v)),
+    ("tail_decay_fit.floor_prob", "noise floor", lambda v: tail_decay_fit(*SERIES, v)),
     ("prefactor_corrected_slope.fitted_slope", "fitted_slope",
      lambda v: prefactor_corrected_slope(v, [10, 20], 0.5)),
     ("nearest_rank_percentile.percentile", "percentile",
@@ -211,14 +210,22 @@ def test_a_non_integer_negbin_k_is_refused(function, value):
         function(value, 4, 0.5)
 
 
-@pytest.mark.parametrize("value", NON_INTEGERS, ids=repr)
-def test_a_non_integer_k_of_a_slope_correction_is_refused(value, no_work):
-    kind = type(value).__name__
+@pytest.mark.parametrize("ks", [
+    *(pytest.param([10, value, 30], id=repr(value)) for value in NON_INTEGERS),
+    # an array whose dtype is not an integer one is checked element by element
+    pytest.param(np.array([10, 20, 30], dtype=bool), id="bool array"),
+    pytest.param(np.array([10.0, 20.0, 30.0]), id="float array"),
+])
+def test_a_non_integer_k_of_a_slope_correction_is_refused(ks, no_work):
+    kind = type(ks[1]).__name__
     with pytest.raises(ValueError, match=f"^ks must be an integer, got {kind}$"):
-        prefactor_corrected_slope(-0.1, [10, value, 30], 0.5)
+        prefactor_corrected_slope(-0.1, ks, 0.5)
 
 
-@pytest.mark.parametrize(("ks", "distinct"), [([], 0), ([5], 1), ([7, 7, 7], 1)])
+@pytest.mark.parametrize(("ks", "distinct"), [
+    ([], 0), ([5], 1), ([7, 7, 7], 1),
+    (np.array([], dtype=np.int64), 0), (np.array([7, 7, 7]), 1),
+])
 def test_a_slope_correction_needs_two_distinct_ks(ks, distinct, no_work):
     message = f"^ks must hold at least two distinct integers, got {distinct} distinct$"
     with pytest.raises(ValueError, match=message):

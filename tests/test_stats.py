@@ -14,10 +14,10 @@ from scipy import stats as scipy_stats
 from conftest import DELTAS, decimal_survival, negbin_pmf
 from conftest import prefactor_corrected_slope as reference_corrected_slope
 from convlab.errors import EmptyInputError, InsufficientDataError, InsufficientTailError
-from convlab.simulate import SimConfig, TotalsHistogram, TrialBatch, run_batch
+from convlab.simulate import SimConfig, TotalsHistogram, TrialBatch, run_batch, run_histogram
 from convlab.stats import (
-    CcdfSeries,
     ccdf,
+    histogram_ccdf,
     histogram_percentiles,
     nearest_rank_percentile,
     negbin_cdf,
@@ -200,8 +200,8 @@ def test_nearest_rank_percentile_validation():
 
 
 def test_ccdf_hand_example():
-    series = ccdf(np.array([4, 4, 5, 7]))
-    assert series.points == ((4, 0.5), (5, 0.25), (7, 0.0))
+    values, probs = ccdf(np.array([4, 4, 5, 7]))
+    assert list(zip(values.tolist(), probs.tolist())) == [(4, 0.5), (5, 0.25), (7, 0.0)]
 
 
 def test_ccdf_rejects_empty():
@@ -211,17 +211,17 @@ def test_ccdf_rejects_empty():
 
 def test_tail_decay_fit_recovers_exact_geometric():
     rate = math.log(0.65)
-    points = tuple((k, math.exp(rate * (k - 4))) for k in range(4, 40))
-    fitted = tail_decay_fit(CcdfSeries(points=points), floor_prob=1e-12)
+    ks = np.arange(4, 40)
+    fitted = tail_decay_fit(ks, np.exp(rate * (ks - 4)), floor_prob=1e-12)
     assert fitted == pytest.approx(rate, rel=1e-12)
 
 
 def test_tail_decay_fit_needs_three_points():
-    points = ((4, 0.5), (5, 0.25), (6, 0.001), (7, 0.0001))
+    ks, probs = np.arange(4, 8), np.array([0.5, 0.25, 0.001, 0.0001])
     with pytest.raises(InsufficientTailError):
-        tail_decay_fit(CcdfSeries(points=points), floor_prob=0.01)
+        tail_decay_fit(ks, probs, floor_prob=0.01)
     with pytest.raises(ValueError):
-        tail_decay_fit(CcdfSeries(points=points), floor_prob=0.0)
+        tail_decay_fit(ks, probs, floor_prob=0.0)
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -230,7 +230,7 @@ def test_ccdf_matches_negbin_law(delta, million_totals):
     five standard errors, on every point above the 100/N support floor."""
     totals = million_totals[delta]
     n = totals.size
-    for k, prob in ccdf(totals).points:
+    for k, prob in zip(*ccdf(totals)):
         if prob <= 100.0 / n:
             continue
         target = 1.0 - negbin_cdf(int(k), 4, delta)
@@ -504,6 +504,15 @@ def test_prefactor_corrected_slope_matches_the_per_k_survival_fit(delta):
         for fitted in (math.log1p(-delta) / 2, -0.05):
             got = prefactor_corrected_slope(fitted, ks, delta)
             assert got == pytest.approx(per_k_corrected_slope(fitted, ks, delta), abs=1e-9)
+            assert prefactor_corrected_slope(fitted, np.array(ks, dtype=np.int64), delta) == got
+    if delta == 1e-7:
+        # the golden tail report's kept rows, where `tail` prints every slope as -0.000000
+        histogram = run_histogram(SimConfig(delta, trials=150_000, seed=42))
+        probs, floor_prob = histogram_ccdf(histogram.values, histogram.counts), 10.0 / 150_000
+        kept = histogram.values[probs > floor_prob]
+        fitted = tail_decay_fit(histogram.values, probs, floor_prob)
+        got = prefactor_corrected_slope(fitted, kept, delta)
+        assert got == prefactor_corrected_slope(fitted, kept.tolist(), delta)
 
 
 def test_prefactor_corrected_slope_of_the_exact_law_is_its_rate():
