@@ -149,6 +149,14 @@ def _emit(text: str, out: str, sidecar: dict | None = None) -> None:
     write_text_atomic(files)
 
 
+def _csv_text(header: str, row: str, first: list, second: list) -> str:
+    """`header`, then `row % (first[i], second[i])` for each i: one %-format
+    over the interleaved columns, which beats one f-string per row."""
+    cells: list = [None] * (2 * len(first))
+    cells[0::2], cells[1::2] = first, second
+    return f"{header}\n" + (row * len(first)) % tuple(cells)
+
+
 def _measured(work: Callable[[], list]) -> tuple[list, float, int]:
     """Run `work`; return its result, wall seconds and peak traced bytes.
     Tracing is left as it was found, also when `work` raises."""
@@ -307,8 +315,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
         fitted = None
         _info(f"tail: no fit ({exc})")
 
-    lines = ["k,ccdf"]
-    lines.extend(f"{k},{prob:.6f}" for k, prob in zip(values.tolist(), probs.tolist()))
     sidecar = {
         "delta": config.delta,
         "trials": config.trials,
@@ -317,7 +323,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
         "fitted_slope": fitted,
         "theoretical_slope": theoretical,
     }
-    _emit("\n".join(lines) + "\n", args.out, sidecar)
+    _emit(_csv_text("k,ccdf", "%d,%.6f\n", values.tolist(), probs.tolist()), args.out, sidecar)
     if fitted is not None:
         corrected = prefactor_corrected_slope(fitted, values[probs > floor_prob], config.delta)
         _info(
@@ -374,9 +380,6 @@ def cmd_distribution(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     histogram = run_histogram(config)
     values, counts = histogram.values, histogram.counts
-
-    lines = ["k,count"]
-    lines.extend(f"{k},{c}" for k, c in zip(values.tolist(), counts.tolist()))
     sidecar = None
     if args.out != "-":
         p25, p50, p75, p99 = histogram_percentiles(values, counts, (25, 50, 75, 99))
@@ -393,7 +396,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "p75": p75,
             "p99": p99,
         }
-    _emit("\n".join(lines) + "\n", args.out, sidecar)
+    _emit(_csv_text("k,count", "%d,%d\n", values.tolist(), counts.tolist()), args.out, sidecar)
     return EXIT_OK
 
 

@@ -20,8 +20,9 @@ chunk on the calling thread and casts each into its int64 sojourn matrix.
 keeps only the histogram of totals. It counts a config's chunks on
 min(CPUs in the affinity mask, 2, chunks) workers, each with its own buffers
 and counts, and adds the counts up at the end. Memory is one chunk per worker
-whatever the trial count, and since integer counts add up the same in any
-order, the histogram does not depend on the worker count.
+whatever the trial count: 32,768 rows, about 1.5 MiB, which fits in a
+2 MiB per-core L2. Since integer counts add up the same in any order, the
+histogram does not depend on the worker count.
 
 Sampling uses inversion, k = ceil(ln(u) / ln(1 - delta)) with u in (0, 1),
 which reproduces the geometric law exactly rather than simulating repeated
@@ -65,12 +66,12 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 2**28   # sojourn cells; 4-stage batches cap at ~67M trials
-CHUNK_ROWS = 2**16            # trials drawn per chunk of the sojourn kernel
+CHUNK_ROWS = 2**15            # trials drawn per chunk of the sojourn kernel
 DENSE_LIMIT = 2**16           # totals below this are counted in a dense array
 INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_WORKERS = 2              # threads run_histogram counts on, at most: each adds a
-                              # chunk's buffers (~3 MiB) to the peak RSS, and 2 is the
-                              # count benchmarked (BENCH_15.json)
+                              # chunk's buffers (~1.5 MiB) to the peak RSS, and 2 is the
+                              # count benchmarked (BENCH_29.json)
 
 
 @dataclass(frozen=True)
@@ -374,8 +375,9 @@ def run_histogram(config: SimConfig) -> TotalsHistogram:
     """Histogram of one batch's totals, counted chunk by chunk on every core.
 
     Same totals as run_batch(config) and the same cell budget. Memory is one
-    chunk per worker (plus 8 bytes per trial whose total reaches DENSE_LIMIT),
-    and the result does not depend on the worker count.
+    chunk per worker, about 1.5 MiB for CHUNK_ROWS (32,768) rows, plus 8 bytes
+    per trial whose total reaches DENSE_LIMIT. The result does not depend on
+    the worker count.
     """
     _check_budget(config)
     start = generator(config.seed).bit_generator.state

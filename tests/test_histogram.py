@@ -243,7 +243,7 @@ def test_histogram_refuses_what_no_batch_could_give(values, counts, message):
     delta=deltas,
     trials=st.one_of(
         st.integers(1, 3 * 2**16),
-        st.sampled_from([2**12 - 1, 2**12, 2**15 + 1, 2**16, 2**16 + 3]),
+        st.sampled_from([2**12 - 1, 2**12, 2**15 - 1, 2**15, 2**15 + 1, 2**16, 2**16 + 3]),
     ),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
@@ -254,7 +254,7 @@ def test_the_chunk_size_does_not_change_the_results(delta, trials, seed):
     config = SimConfig(delta=delta, trials=trials, seed=seed)
     totals = run_batch(config).totals
     values, counts = np.unique(totals, return_counts=True)
-    for rows in (2**12, 2**15, 2**16):
+    for rows in (2**12, 2**14, 2**15, 2**16):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulate, "CHUNK_ROWS", rows)
             histogram = run_histogram(config)
@@ -279,6 +279,17 @@ def traced_peak_bytes(config):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_workers_chunk_buffers_fit_in_l2():
+    # per row: float sojourns (4 stages), int64 totals and an int64 column. The
+    # chunk size was benchmarked against a 2 MiB L2 per core (BENCH_29.json); a
+    # larger chunk streams every pass of the kernel from L3, so re-benchmark it
+    config = SimConfig(delta=0.5, trials=CHUNK_ROWS + 1, seed=0)
+    worker = simulate._Worker(config, generator(config.seed).bit_generator.state)
+    working_set = worker.block.nbytes + worker.totals.nbytes + worker.column.nbytes
+    assert working_set == CHUNK_ROWS * (4 * 8 + 8 + 8)
+    assert working_set <= 3 * 2**19
 
 
 def test_histogram_memory_is_bounded_by_the_chunk(monkeypatch):
