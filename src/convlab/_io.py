@@ -1,4 +1,4 @@
-"""Atomic text-file writes for the CLI's reports and sidecars."""
+"""CSV text and atomic text-file writes for the CLI's reports and sidecars."""
 
 from __future__ import annotations
 
@@ -38,3 +38,11 @@ def write_text_atomic(files: dict[Path, str]) -> None:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
         raise
+
+
+def csv_text(header: str, row: str, first: list, second: list) -> str:
+    """`header`, then `row % (first[i], second[i])` for each i: one %-format
+    over the interleaved columns, which beats one f-string per row."""
+    cells: list = [None] * (2 * len(first))
+    cells[0::2], cells[1::2] = first, second
+    return f"{header}\n" + (row * len(first)) % tuple(cells)

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._io import csv_text
 from .errors import OutOfOrderError
 from .regions import RegionLabel, classify
 from .rng import _validate_count, _validate_delta, _validate_real, generator
@@ -257,7 +258,8 @@ class MonitorTrace:
         Each row is the timestamp plus a suffix looked up, through a plain
         list, in a table over the distinct (fill, successes) pairs, fewer than
         (W+1)(W+2)/2 of them for a window of W, and one entry for an undefined
-        estimate. One join builds the text.
+        estimate. One %-format over the interleaved timestamps and suffixes
+        builds the rows.
         """
         base = self.ts.size + 1
         pairs = np.where(self.defined, self.fill * base + self.successes, -1)
@@ -273,8 +275,7 @@ class MonitorTrace:
         suffixes = [table[index] for index in inverse.tolist()]
         for index, kind in zip(self.fired.tolist(), self.kinds):
             suffixes[index] = suffixes[index].removesuffix("NoAction") + kind.value
-        rows = [f"{stamp}{suffix}\n" for stamp, suffix in zip(self.ts.tolist(), suffixes)]
-        return "".join([f"{TRACE_CSV_HEADER}\n", *rows])
+        return csv_text(TRACE_CSV_HEADER, "%s%s\n", self.ts.tolist(), suffixes)
 
 
 def monitor_columns(columns: EventColumns, config: MonitorConfig) -> MonitorTrace:

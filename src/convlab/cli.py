@@ -36,7 +36,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Callable
 
-from ._io import write_text_atomic
+from ._io import csv_text, write_text_atomic
 from .calibrate import MonitorConfig, monitor_columns, parse_event_columns
 from .errors import (
     InsufficientDataError,
@@ -147,14 +147,6 @@ def _emit(text: str, out: str, sidecar: dict | None = None) -> None:
     if sidecar is not None:
         files[Path(f"{out}.meta.json")] = json.dumps(sidecar, indent=2) + "\n"
     write_text_atomic(files)
-
-
-def _csv_text(header: str, row: str, first: list, second: list) -> str:
-    """`header`, then `row % (first[i], second[i])` for each i: one %-format
-    over the interleaved columns, which beats one f-string per row."""
-    cells: list = [None] * (2 * len(first))
-    cells[0::2], cells[1::2] = first, second
-    return f"{header}\n" + (row * len(first)) % tuple(cells)
 
 
 def _measured(work: Callable[[], list]) -> tuple[list, float, int]:
@@ -323,7 +315,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
         "fitted_slope": fitted,
         "theoretical_slope": theoretical,
     }
-    _emit(_csv_text("k,ccdf", "%d,%.6f\n", values.tolist(), probs.tolist()), args.out, sidecar)
+    _emit(csv_text("k,ccdf", "%d,%.6f\n", values.tolist(), probs.tolist()), args.out, sidecar)
     if fitted is not None:
         corrected = prefactor_corrected_slope(fitted, values[probs > floor_prob], config.delta)
         _info(
@@ -396,7 +388,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             "p75": p75,
             "p99": p99,
         }
-    _emit(_csv_text("k,count", "%d,%d\n", values.tolist(), counts.tolist()), args.out, sidecar)
+    _emit(csv_text("k,count", "%d,%d\n", values.tolist(), counts.tolist()), args.out, sidecar)
     return EXIT_OK
 
 

@@ -10,17 +10,23 @@ identical delta and trial count, independent seeds, then a two-sample mean
 comparison and a variance ratio. The engine's mean and variance come from
 its histogram's exact integer moments (stats.summarize_histogram).
 
-One walker, _walk, runs every trial. It keeps only the attempts per stage
-and whether the walk converged. It draws its uniforms in blocks of
-WALK_BLOCK: a Philox block draw gives the same doubles as the same number of
-scalar draws, and the draws a walk leaves unused belong to no other trial.
+_stepwise_totals walks the trials of a run in blocks. Each trial's first
+draws fill one row of a float block, 4 * ceil(4 / delta) of them (about four
+times the mean total, in whole Philox counter steps) or max_steps when that
+is not fewer, and array operations find each row's fourth draw below delta.
+A row with fewer than four such draws is unconverged when it holds max_steps
+draws; otherwise its trial is replayed by the one per-attempt walker, _walk,
+on the same stream. _walk is also the reference the block pass is tested
+against. It draws its uniforms in blocks of WALK_BLOCK: a Philox block draw
+gives the same doubles as the same number of scalar draws, and the draws a
+walk leaves unused belong to no other trial.
 
 Each trial draws from its own stream derived from (seed, trial index), so
 any single trial can be reproduced without replaying its predecessors:
 trial i of a cross-validation run is _walk(delta,
-generator(child_seed(stepwise_seed, i)), MAX_STEPS). The cross-validation
-loop takes those streams from rng.trial_generators, which derives their keys
-in bulk, instead of building each one with generator(child_seed(...)).
+generator(child_seed(stepwise_seed, i)), MAX_STEPS). The first pass takes
+those streams from rng.trial_generators, which derives their keys in bulk;
+only a replayed trial builds its stream with generator(child_seed(...)).
 """
 
 from __future__ import annotations
@@ -30,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _validate_count, _validate_delta, child_seed, trial_generators
-# The harness no longer calls generator or run_batch; both stay importable
-# here because the benchmark's tracer wraps them at this import site
-# (perfbench/layers.py), and its test looks them up on this module with no
-# default.
-from .rng import generator  # noqa: F401
+from .rng import _validate_count, _validate_delta, child_seed, generator, trial_generators
+# The harness no longer calls run_batch; it stays importable here because the
+# benchmark's tracer wraps it at this import site (perfbench/layers.py), and
+# its test looks it up on this module with no default.
 from .simulate import run_batch  # noqa: F401
 from .simulate import SimConfig, run_histogram
 from .stats import summarize_histogram
@@ -47,6 +51,7 @@ __all__ = [
 
 MAX_STEPS = 1000  # attempts per cross-validation trial; a longer walk is unconverged
 WALK_BLOCK = 64  # uniforms a walk draws at a time
+BLOCK_CELLS = 2**14  # doubles in one block of first-pass rows, 128 KiB
 
 
 def _walk(delta: float, rng: np.random.Generator, max_steps: int) -> tuple[list[int], bool]:
@@ -86,15 +91,45 @@ class CrossValidationReport:
     all_converged: bool
 
 
+def _first_pass_width(delta: float, max_steps: int) -> int:
+    """Draws per trial in the first pass: 4 * ceil(4 / delta), or max_steps
+    when that is not fewer."""
+    mean = SimConfig.stages / delta  # inf at delta = 5e-324, which ceil refuses
+    return min(max_steps, 4 * math.ceil(mean)) if mean < max_steps else max_steps
+
+
 def _stepwise_totals(
     delta: float, trials: int, seed: int, max_steps: int
 ) -> tuple[np.ndarray, bool]:
+    """Total attempts of each trial, and whether every trial converged."""
+    stages = SimConfig.stages
+    width = _first_pass_width(delta, max_steps)
+    draws = np.empty((max(1, BLOCK_CELLS // width), width))
     totals = np.empty(trials, dtype=np.int64)
     converged = True
-    for index, rng in enumerate(trial_generators(seed, trials)):
-        attempts, done = _walk(delta, rng, max_steps)
-        totals[index] = sum(attempts)
-        converged &= done
+    streams = trial_generators(seed, trials)
+    for start in range(0, trials, len(draws)):
+        block = draws[:trials - start]
+        # the block comes first, so zip takes no stream past its last row
+        for row, rng in zip(block, streams):
+            rng.random(out=row)
+        hits = block < delta
+        passes = np.count_nonzero(hits, axis=1)
+        done = passes >= stages
+        # a row's hits sit together in the flat hit list, ending at its cumsum
+        fourth = np.flatnonzero(hits)[(np.cumsum(passes) - passes + stages - 1)[done]]
+        out = totals[start:start + len(block)]
+        out[done] = fourth % width + 1
+        short = np.flatnonzero(~done)
+        if width == max_steps:  # a short row has made every attempt it may
+            out[short] = max_steps
+            converged &= short.size == 0
+        else:
+            for index in short.tolist():
+                rng = generator(child_seed(seed, start + index))
+                attempts, walked = _walk(delta, rng, max_steps)
+                out[index] = sum(attempts)
+                converged &= walked
     return totals, converged
 
 

@@ -177,6 +177,12 @@ def test_the_fixed_stage_count_and_step_cap_are_not_arguments(call):
     seed=st.integers(0, SEED_MODULUS - 1),
     max_steps=st.integers(1, 120),
 )
+# 4 / delta is inf here, which the first pass's width must not round up
+@example(delta=5e-324, trials=1, seed=0, max_steps=1)
+# the first-pass width, 4 * ceil(4 / delta), is max_steps itself
+@example(delta=0.5, trials=50, seed=1, max_steps=32)
+# trial 0's first draw equals delta and fails: success is strictly below delta
+@example(delta=generator(child_seed(0, 0)).random(), trials=1, seed=0, max_steps=120)
 def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
     totals, all_converged = harness._stepwise_totals(delta, trials, seed, max_steps)
     walks = [
@@ -184,6 +190,58 @@ def test_every_stepwise_total_replays_alone(delta, trials, seed, max_steps):
     ]
     assert totals.tolist() == [sum(attempts) for attempts, _ in walks]
     assert all_converged == all(converged for _, converged in walks)
+
+
+@pytest.mark.parametrize("cells", [12, harness.BLOCK_CELLS])
+@pytest.mark.parametrize(("delta", "seed"), [(0.9, 0), (0.5, 7), (0.3, 11), (0.05, 3)])
+def test_short_first_pass_rows_are_replayed_by_the_walker(delta, seed, cells, monkeypatch):
+    # four draws per row: every trial that takes more than four attempts is
+    # replayed, and at 0.05 many reach max_steps unconverged
+    trials, max_steps = 50, 40
+    walks = [
+        _walk(delta, generator(child_seed(seed, index)), max_steps) for index in range(trials)
+    ]
+    replays = []
+
+    def walk(*args):
+        replays.append(args)
+        return _walk(*args)
+
+    monkeypatch.setattr(harness, "_first_pass_width", lambda delta, max_steps: 4)
+    monkeypatch.setattr(harness, "BLOCK_CELLS", cells)  # 12 cells: blocks of 3 rows
+    monkeypatch.setattr(harness, "_walk", walk)
+    totals, all_converged = harness._stepwise_totals(delta, trials, seed, max_steps)
+    assert totals.tolist() == [sum(attempts) for attempts, _ in walks]
+    assert all_converged == all(converged for _, converged in walks)
+    assert len(replays) == sum(sum(attempts) > 4 for attempts, _ in walks) > 0
+
+
+# width: 4 * ceil(4 / delta) draws, or MAX_STEPS when that is not fewer
+@pytest.mark.parametrize(
+    ("delta", "width"),
+    [(5e-324, 1000), (1e-3, 1000), (0.02, 800), (0.1, 160), (0.5, 32), (0.9, 20), (1.0, 16)],
+)
+def test_the_first_pass_block_holds_at_most_2_14_draws(delta, width, monkeypatch):
+    # the block was sized so that crossval-stepwise's peak RSS did not move
+    # (BENCH_30.json); a larger block costs memory, so re-benchmark it
+    blocks = set()
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, out):
+            blocks.add((out.base.shape, out.base.nbytes))
+            return self.rng.random(out=out)
+
+    streams = harness.trial_generators
+    monkeypatch.setattr(
+        harness, "trial_generators", lambda seed, count: map(Recording, streams(seed, count))
+    )
+    harness._stepwise_totals(delta, 3000, 5, harness.MAX_STEPS)
+    ((shape, nbytes),) = blocks
+    assert shape == (2**14 // width, width)
+    assert nbytes <= 2**17
 
 
 # cross_validate(delta, 10_000, child_seed(42, i)) for the i-th of 0.1/0.5/0.9,
