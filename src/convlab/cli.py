@@ -33,6 +33,7 @@ import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -70,7 +71,7 @@ __all__ = ["main", "parse_deltas"]
 DEFAULT_SEED = 42
 DEFAULT_DELTAS = "0.1:0.9:0.1"
 DEFAULT_SUCCESS_CUTOFF = 1000  # a trial succeeds if its total is at most this
-RANGE_TOLERANCE = Decimal("1e-9")  # in steps
+RANGE_TOLERANCE = Fraction(1, 10**9)  # in steps
 EXACT_STAGE_BUDGET = 2**20  # exact holds and prints one float per stage
 DELTA_RANGE_BUDGET = 2**20  # values a start:end:step range may expand to
 
@@ -92,7 +93,8 @@ class UsageError(Exception):
 
 
 def parse_deltas(text: str) -> list[float]:
-    """Parse `start:end:step` (in decimal, end inclusive within 1e-9 step) or a comma list."""
+    """Parse `start:end:step` (exact on the decimal reprs, end inclusive within
+    1e-9 step) or a comma list."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -101,19 +103,28 @@ def parse_deltas(text: str) -> list[float]:
         bounds = [float(part) for part in parts]
         if not all(map(math.isfinite, bounds)):
             raise ValueError(f"range bounds must be finite, got {text!r}")
-        # decimal steps keep 0.1:0.9:0.1 on 0.1, 0.2, ..., 0.9 exactly
-        start, end, step = (Decimal(repr(bound)) for bound in bounds)
+        # exact fractions of the reprs keep 0.1:0.9:0.1 on 0.1, 0.2, ..., 0.9,
+        # and each value is rounded to a float once
+        start, end, step = (Fraction(repr(bound)) for bound in bounds)
+        # the messages show a bound as the decimal of its repr, e.g. 1E-7
         if step <= 0:
-            raise ValueError(f"range step must be positive, got {step}")
+            raise ValueError(f"range step must be positive, got {Decimal(repr(bounds[2]))}")
         last = end + step * RANGE_TOLERANCE
         if last < start:
-            raise ValueError(f"range end {end} is below start {start}")
-        count = int((last - start) / step) + 1
+            raise ValueError(
+                f"range end {Decimal(repr(bounds[1]))} is below start {Decimal(repr(bounds[0]))}"
+            )
+        count = math.floor((last - start) / step) + 1
         if count > DELTA_RANGE_BUDGET:
             raise ResourceLimitError(
                 f"range {text!r} holds {count} deltas, budget is {DELTA_RANGE_BUDGET}"
             )
-        return [float(start + index * step) for index in range(count)]
+        # start + index * step over one denominator; int / int rounds it
+        # once, as float(Fraction) does, without a Fraction per value
+        denominator = math.lcm(start.denominator, step.denominator)
+        first = start.numerator * (denominator // start.denominator)
+        stride = step.numerator * (denominator // step.denominator)
+        return [(first + index * stride) / denominator for index in range(count)]
     pieces = [piece for piece in text.split(",") if piece.strip()]
     if not pieces:
         raise ValueError("no deltas given")

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from convlab import SimConfig, run_batch, run_sweep, simulate
-from convlab.rng import child_seed
+from convlab.calibrate import StageEvent
+from convlab.rng import child_seed, generator
 from convlab.stats import _comb_term
 
 DELTAS = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -135,3 +136,32 @@ def prefactor_corrected_slope(fitted_slope, ks, delta, stages=4):
     )
     factor_slope, _ = np.polyfit(ks, log_factor, 1)
     return fitted_slope - float(factor_slope)
+
+
+def reference_drift_stream(segments, seed):
+    """synthesize_drift_stream one event at a time: the same draws, with the
+    trial, attempt and timestamp counters advanced per event."""
+    rng = generator(seed)
+    events = []
+    timestamp = 0
+    trial = 0
+    attempt = 1
+    for delta, attempts in segments:
+        outcomes = rng.random(attempts) < delta
+        for success in outcomes.tolist():
+            events.append(
+                StageEvent(
+                    trial_id=trial,
+                    stage=1,
+                    attempt=attempt,
+                    success=success,
+                    timestamp=timestamp,
+                )
+            )
+            timestamp += 1
+            if success:
+                trial += 1
+                attempt = 1
+            else:
+                attempt += 1
+    return events

@@ -1,12 +1,19 @@
 """Drift monitor: window estimates, hysteresis, stream parsing, synthesis."""
 
+import copy
+import dataclasses
+import hashlib
+import inspect
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_drift_stream
 from convlab import calibrate
 from convlab.calibrate import (
     TRACE_CSV_HEADER,
@@ -56,6 +63,56 @@ def test_stage_event_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         StageEvent(**base)
+
+
+EVENT_FIELDS = ("trial_id", "stage", "attempt", "success", "timestamp")
+
+
+def test_stage_event_keeps_its_dataclass_contract():
+    event = StageEvent(3, 2, 5, True, 17)
+    assert tuple(field.name for field in dataclasses.fields(StageEvent)) == EVENT_FIELDS
+    assert tuple(inspect.signature(StageEvent).parameters) == EVENT_FIELDS
+    assert not hasattr(event, "__dict__")
+    # positional and keyword construction build the same event
+    assert event == StageEvent(trial_id=3, stage=2, attempt=5, success=True, timestamp=17)
+    assert event == StageEvent(3, 2, attempt=5, timestamp=17, success=True)
+    assert hash(event) == hash(StageEvent(3, 2, 5, True, 17))
+    assert repr(event) == "StageEvent(trial_id=3, stage=2, attempt=5, success=True, timestamp=17)"
+    for name in EVENT_FIELDS:
+        other = dataclasses.replace(event, **{name: getattr(event, name) + 1})
+        assert other != event
+        assert getattr(other, name) == getattr(event, name) + 1
+    assert event != (3, 2, 5, True, 17)
+    for clone in (pickle.loads(pickle.dumps(event)), copy.deepcopy(event), copy.copy(event)):
+        assert clone == event and clone is not event
+        assert repr(clone) == repr(event)
+
+
+@pytest.mark.parametrize("name", EVENT_FIELDS)
+def test_stage_event_fields_cannot_be_set_or_deleted(name):
+    event = StageEvent(0, 1, 1, False, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(event, name, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(event, name)
+    assert event == StageEvent(0, 1, 1, False, 0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trial_id": -1}, "trial_id must be >= 0, got -1"),
+        ({"stage": 0}, "stage must be >= 1, got 0"),
+        ({"attempt": -3}, "attempt must be >= 1, got -3"),
+        ({"timestamp": -2}, "timestamp must be >= 0, got -2"),
+    ],
+)
+def test_stage_event_checks_keep_their_messages(kwargs, message):
+    base = {"trial_id": 0, "stage": 1, "attempt": 1, "success": True, "timestamp": 0}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StageEvent(**{**base, **kwargs})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(StageEvent(**base), **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -225,6 +282,33 @@ def test_synthetic_stream_event_structure():
         if previous.stage == 4 and previous.success:
             assert current.trial_id == previous.trial_id + 1
             assert current.stage == 1
+
+
+DRIFT_DELTAS = st.sampled_from([1e-300, 1e-3, 0.2, 0.5, 1.0]) | st.floats(0, 1, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segments=st.lists(st.tuples(DRIFT_DELTAS, st.integers(1, 2000)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_synthetic_stream_equals_the_per_event_reference(segments, seed):
+    events = synthesize_drift_stream(segments, seed)
+    reference = reference_drift_stream(segments, seed)
+    assert events == reference
+    assert "".join(map(event_to_json, events)) == "".join(map(event_to_json, reference))
+    # plain Python values, as the per-event loop stores them
+    assert {tuple(map(type, (e.trial_id, e.stage, e.attempt, e.success, e.timestamp)))
+            for e in events} == {(int, int, int, bool, int)}
+
+
+def test_three_segment_stream_keeps_its_bytes():
+    events = synthesize_drift_stream([(0.5, 7000), (0.2, 6000), (0.5, 7000)], seed=31)
+    text = "".join(event_to_json(event) + "\n" for event in events)
+    assert len(events) == 20_000
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a79aea082d64eedac9fe4e3f5b927ac040d74d1add26fa84aa27041402efec8c"
+    )
 
 
 def test_synthetic_stream_validation():

@@ -10,11 +10,11 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
-from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import prefactor_corrected_slope
@@ -85,18 +85,22 @@ def test_parse_deltas_takes_values_as_given():
     offset=st.sampled_from(["0", "1e-9", "-1e-9", "-1.000001e-9", "-0.999999e-9", "0.5"])
     | st.floats(-1, 1).map(repr),
 )
+# start + 100 * step exceeds the bound by 1.2e-38, less than 28 digits resolve
+@example(start=1.175494351e-38, step=1e-12, steps=100, offset="-1e-9")
+# the range 1e-40:9.9999999999e-11:1e-12, whose 101st value passes the bound by 1e-40
+@example(start=1e-40, step=1e-12, steps=100, offset="-1e-9")
 def test_parse_deltas_range_is_the_grid_up_to_the_tolerant_end(start, step, steps, offset):
-    """In parse_deltas' decimal arithmetic: the range is start + i * step for
-    i below its count, the last of them is at most end + step * 1e-9, and the
-    next one would exceed it."""
-    start_d, step_d = Decimal(repr(start)), Decimal(repr(step))
-    end = float(start_d + (steps + Decimal(offset)) * step_d)
-    bound = Decimal(repr(end)) + step_d * Decimal("1e-9")
-    assume(bound >= start_d)
+    """In exact arithmetic on the reprs: the range is start + i * step, each
+    rounded once, for i below its count; the last of them is at most
+    end + step * 1e-9, and the next one would exceed it."""
+    start_q, step_q = Fraction(repr(start)), Fraction(repr(step))
+    end = float(start_q + (steps + Fraction(offset)) * step_q)
+    bound = Fraction(repr(end)) + step_q / 10**9
+    assume(bound >= start_q)
     values = parse_deltas(f"{start!r}:{end!r}:{step!r}")
     count = len(values)
-    assert values == [float(start_d + i * step_d) for i in range(count)]
-    assert start_d + (count - 1) * step_d <= bound < start_d + count * step_d
+    assert values == [float(start_q + i * step_q) for i in range(count)]
+    assert start_q + (count - 1) * step_q <= bound < start_q + count * step_q
 
 
 @pytest.mark.parametrize("text", ["0.1:inf:0.1", "nan:0.5:0.1", "0.1:0.5:nan"])
