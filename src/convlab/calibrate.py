@@ -32,7 +32,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -353,9 +353,9 @@ def synthesize_drift_stream(
 
     Each segment draws `rng.random(attempts) < delta` from one generator, in
     segment order. The coordinates come from the concatenated outcomes as
-    columns: an event's trial is the count of successes before it, and its
-    attempt is its distance from the last success before it. One map builds
-    the events from the columns.
+    columns: an event's attempt is its distance from the last success before
+    it, and each trial's id repeats over as many events as its last attempt.
+    One map builds the events from the columns.
     """
     if not segments:
         raise ValueError("need at least one (delta, attempts) segment")
@@ -366,13 +366,18 @@ def synthesize_drift_stream(
     rng = generator(seed)
     success = np.concatenate([rng.random(attempts) < delta for delta, attempts in segments])
     index = np.arange(success.size)
-    trial = np.cumsum(success) - success
     # the index of the last success at or before each event, -1 before the first
     last = np.maximum.accumulate(np.where(success, index, -1))
     attempt = index - np.concatenate(([-1], last[:-1]))
-    return list(map(
-        StageEvent, trial.tolist(), repeat(1), attempt.tolist(), success.tolist(), range(index.size)
-    ))
+    # a trial ends at its success or at the stream's end, and its length is
+    # the attempt there; its id repeats over its events, so they share one int
+    ends = success.copy()
+    ends[-1] = True
+    trials = chain.from_iterable(map(repeat, count(), attempt[ends].tolist()))
+    columns = trials, repeat(1), attempt.tolist(), success.tolist(), range(success.size)
+    # the arrays go before the events are built, so their memory is reused
+    del success, index, last, attempt, ends
+    return list(map(StageEvent, *columns))
 
 
 # ---------------------------------------------------------------------------
